@@ -88,14 +88,20 @@ class SegmentedCurve:
         parts = [p.nodes[:-1] for p in self.pieces[:-1]] + [self.pieces[-1].nodes]
         return np.concatenate(parts)
 
-    def _pick(self, t: float) -> CurveDense:
-        idx = int(np.searchsorted(self._breaks, t, side="right") - 1)
-        return self.pieces[min(max(idx, 0), len(self.pieces) - 1)]
+    def _piece_index(self, t):
+        # a join belongs to the piece that starts there
+        return np.searchsorted(self._breaks[1:-1], t, side="right")
 
     def _eval(self, t, attr: str):
         if np.ndim(t) == 0:
-            return getattr(self._pick(float(t)), attr)(t)
-        return np.array([getattr(self._pick(float(ti)), attr)(ti) for ti in np.asarray(t)])
+            return getattr(self.pieces[self._piece_index(float(t))], attr)(t)
+        t = np.asarray(t, dtype=float)
+        idx = self._piece_index(t)
+        parts = {k: getattr(self.pieces[k], attr)(t[idx == k]) for k in np.unique(idx)}
+        out = np.empty(t.shape, dtype=np.result_type(float, *parts.values()))
+        for k, vals in parts.items():
+            out[idx == k] = vals
+        return out
 
     def value(self, t):
         return self._eval(t, "value")

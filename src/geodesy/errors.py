@@ -77,10 +77,6 @@ class ResidualTooLargeError(GeodesyError):
     """Input curve does not solve the explicit-form geodesic equation."""
 
 
-class QuadratureFailureError(GeodesyError):
-    pass
-
-
 class ZeroCrossingOfUError(GeodesyError):
     pass
 

@@ -20,6 +20,8 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .errors import (
     DomainError,
     NonHolomorphicPrimitiveError,
@@ -446,6 +448,86 @@ def _eval(node: Node, var: Jet2, is_complex: bool) -> Jet2:
     return left / right
 
 
+# --- the same tree over arrays of points ---------------------------------------
+#
+# numpy ufuncs return inf or nan where math/cmath raise, so every function
+# value is checked: one bad element raises DomainError for the whole array.
+
+def _checked(values, what: str):
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"{what} is not finite at some point")
+    return values
+
+
+def _power_array(base: Jet2, p: Union[int, float], is_complex: bool) -> Jet2:
+    v = base.value
+    if isinstance(p, float) and p == int(p):
+        p = int(p)
+    if isinstance(p, int):
+        if p == 0:
+            return Jet2.constant(1.0)
+        if p == 1:
+            return base
+        if p < 0 and np.any(v == 0):
+            raise DomainError("zero base with negative exponent")
+        return _compose(_checked(v ** p, "power"), p * v ** (p - 1),
+                        p * (p - 1) * v ** (p - 2), base)
+    if np.any(v == 0) or (not is_complex and np.any(v < 0)):
+        raise DomainError("negative or zero base with non-integer exponent")
+    f0 = _checked(np.exp(p * np.log(v)), "power")
+    return _compose(f0, p * f0 / v, p * (p - 1) * f0 / (v * v), base)
+
+
+def _apply_function_array(name: str, arg: Jet2, is_complex: bool) -> Jet2:
+    v = arg.value
+    if name in ("log", "sqrt") and (np.any(v == 0) or (not is_complex and np.any(v < 0))):
+        raise DomainError(f"{name} at a nonpositive point")
+    f0 = _checked(getattr(np, name)(v), name)
+    if name == "exp":
+        return _compose(f0, f0, f0, arg)
+    if name == "log":
+        return _compose(f0, 1.0 / v, -1.0 / (v * v), arg)
+    if name == "sqrt":
+        return _compose(f0, 0.5 / f0, -0.25 / (f0 * v), arg)
+    if name == "sin":
+        return _compose(f0, np.cos(v), -f0, arg)
+    if name == "cos":
+        return _compose(f0, -np.sin(v), -f0, arg)
+    if name == "sinh":
+        return _compose(f0, np.cosh(v), f0, arg)
+    if name == "cosh":
+        return _compose(f0, np.sinh(v), f0, arg)
+    raise AssertionError(f"unhandled function {name}")  # pragma: no cover
+
+
+def _eval_array(node: Node, var: Jet2, is_complex: bool) -> Jet2:
+    """``_eval`` with ndarray jet parts; +, -, * are Jet2's own operators."""
+    if isinstance(node, (Literal, Constant, Variable)):
+        return _eval(node, var, is_complex)
+    if isinstance(node, Unary):
+        return -_eval_array(node.operand, var, is_complex)
+    if isinstance(node, Call):
+        return _apply_function_array(node.func, _eval_array(node.arg, var, is_complex),
+                                     is_complex)
+    if node.op == "^":
+        return _power_array(_eval_array(node.left, var, is_complex),
+                            _literal_value(node.right), is_complex)
+    left = _eval_array(node.left, var, is_complex)
+    right = _eval_array(node.right, var, is_complex)
+    if node.op == "+":
+        return left + right
+    if node.op == "-":
+        return left - right
+    if node.op == "*":
+        return left * right
+    if np.any(right.value == 0):
+        raise DomainError("division by zero")
+    v = left.value / right.value
+    d1 = (left.d1 - v * right.d1) / right.value
+    d2 = (left.d2 - 2 * d1 * right.d1 - v * right.d2) / right.value
+    return Jet2(v, d1, d2)
+
+
 def eval_jet2(expr: Expression, at: Scalar) -> Jet2:
     """Evaluate ``expr`` with its first two derivatives at a point.
 
@@ -453,7 +535,18 @@ def eval_jet2(expr: Expression, at: Scalar) -> Jet2:
     complex branch (used when restricting real families to complex charts is
     never needed, but harmless); complex-mode expressions always use the
     principal branches of cmath.
+
+    ``at`` may be an ndarray of points: the jet parts are then arrays of its
+    shape, and DomainError is raised if the expression is bad at any point.
     """
+    if isinstance(at, np.ndarray):
+        is_complex = expr.mode == "complex" or np.iscomplexobj(at)
+        at = at.astype(complex if is_complex else float)
+        with np.errstate(all="ignore"):
+            jet = _eval_array(expr.root, Jet2.variable(at), is_complex)
+        # constant subtrees stay scalars; every part gets the shape of ``at``
+        return Jet2(*(part if np.shape(part) == at.shape else np.full(at.shape, part)
+                      for part in (jet.value, jet.d1, jet.d2)))
     is_complex = expr.mode == "complex" or isinstance(at, complex)
     if is_complex:
         at = complex(at)

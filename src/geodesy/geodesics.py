@@ -61,10 +61,17 @@ def _to_complex(r) -> np.ndarray:
     return r[0::2] + 1j * r[1::2]
 
 
+def _complex_out(value, s):
+    return complex(value) if np.ndim(s) == 0 else np.asarray(value, dtype=complex)
+
+
 # --- complex paths -------------------------------------------------------------
 
 class ComplexPath:
-    """Piecewise-smooth curve s in [0, 1] -> zeta(s) in the z-plane."""
+    """Piecewise-smooth curve s in [0, 1] -> zeta(s) in the z-plane.
+
+    ``point_fn`` and ``velocity_fn`` take one parameter or an array of them.
+    """
 
     def __init__(self, point_fn, velocity_fn, breaks=(0.0, 1.0)):
         self._point = point_fn
@@ -84,17 +91,21 @@ class ComplexPath:
             raise ValueError("zero-length polyline segment")
         breaks = np.concatenate([[0.0], np.cumsum(lengths) / lengths.sum()])
         breaks[-1] = 1.0
+        starts = np.array(verts[:-1])
+        chords = np.diff(verts)
+        widths = np.diff(breaks)
 
-        def point(s: float) -> complex:
-            i = min(max(int(np.searchsorted(breaks, s, side="right") - 1), 0),
-                    len(verts) - 2)
-            frac = (s - breaks[i]) / (breaks[i + 1] - breaks[i])
-            return verts[i] + frac * (verts[i + 1] - verts[i])
+        def segment(s):
+            # a vertex belongs to the segment that starts there
+            return np.searchsorted(breaks[1:-1], s, side="right")
 
-        def velocity(s: float) -> complex:
-            i = min(max(int(np.searchsorted(breaks, s, side="right") - 1), 0),
-                    len(verts) - 2)
-            return (verts[i + 1] - verts[i]) / (breaks[i + 1] - breaks[i])
+        def point(s):
+            i = segment(s)
+            return starts[i] + (s - breaks[i]) / widths[i] * chords[i]
+
+        def velocity(s):
+            i = segment(s)
+            return chords[i] / widths[i]
 
         path = cls(point, velocity, breaks)
         path.vertices = verts
@@ -113,11 +124,13 @@ class ComplexPath:
     def straight(cls, z0: complex, z1: complex) -> "ComplexPath":
         return cls.polyline([z0, z1])
 
-    def point(self, s: float) -> complex:
-        return complex(self._point(s))
+    def point(self, s):
+        """zeta(s); ``s`` may be an array of parameters."""
+        return _complex_out(self._point(s), s)
 
-    def velocity(self, s: float) -> complex:
-        return complex(self._velocity(s))
+    def velocity(self, s):
+        """dzeta/ds; ``s`` may be an array of parameters."""
+        return _complex_out(self._velocity(s), s)
 
     @property
     def start(self) -> complex:
@@ -155,9 +168,10 @@ class GeodesicTrajectory:
     def s_span(self) -> tuple[float, float]:
         return float(self.s[0]), float(self.s[-1])
 
-    def state_at(self, s: float) -> tuple[np.ndarray, np.ndarray]:
+    def state_at(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """(coords, velocity) at ``s``; for an array ``s`` each has one column per entry."""
         lo, hi = self.s_span
-        if s < lo - 1e-12 or s > hi + 1e-12:
+        if np.any(np.asarray(s) < lo - 1e-12) or np.any(np.asarray(s) > hi + 1e-12):
             raise OutsideSupportError(f"s={s} outside [{lo}, {hi}]")
         y = self._dense(np.clip(s, lo, hi))
         if self.spec.is_complex_chart:
@@ -378,7 +392,7 @@ class ExplicitGeodesic:
 
     def point(self, t):
         if self.path is not None:
-            return self.path.point(float(t))
+            return self.path.point(t)
         return t
 
     def value(self, t):
@@ -391,10 +405,7 @@ class ExplicitGeodesic:
 
     def second(self, t):
         if self.path is not None:
-            d = self._zslopes.d1(t)
-            if np.ndim(t) == 0:
-                return d / self.path.velocity(float(t))
-            return d / np.array([self.path.velocity(float(ti)) for ti in np.asarray(t)])
+            return self._zslopes.d1(t) / self.path.velocity(t)
         return self._values.d2(t)
 
     @classmethod

@@ -221,24 +221,21 @@ def _split_basis_gap(spec, traj4, trajc, s_hi) -> float:
 
     def point_at(s):
         q, _ = traj4.state_at(s)
-        return complex(q[0], q[2])
+        return q[0] + 1j * q[2]
 
     def velocity_at(s):
         _, v = traj4.state_at(s)
-        return complex(v[0], v[2])
+        return v[0] + 1j * v[2]
 
     g_split = path_explicit_from_samples(
         spec_c, traj4.s, zs, Xs, vzs, vXs, azs, aXs,
         point_at, velocity_at, traj4.termination)
     g_complex = explicit_from_trajectory(trajc)
-    basis_split = reconstruct_basis(spec_c, g_split, tol=1e-11)
-    basis_complex = reconstruct_basis(spec_c, g_complex, tol=1e-11)
+    basis_split = reconstruct_basis(spec_c, g_split)
+    basis_complex = reconstruct_basis(spec_c, g_complex)
     # both runs normalize the same affine range to [0, 1], so equal
     # parameters address the same point of the underlying geodesic
-    hi = min(g_split.support[1], g_complex.support[1])
-    gap = 0.0
-    for f in np.linspace(0.0, hi, 17):
-        for u4, uc in ((basis_split.u_top, basis_complex.u_top),
-                       (basis_split.u_bot, basis_complex.u_bot)):
-            gap = max(gap, abs(u4.value(f) - uc.value(f)))
-    return float(gap)
+    fs = np.linspace(0.0, min(g_split.support[1], g_complex.support[1]), 17)
+    return float(np.max(np.abs(np.concatenate([
+        basis_split.u_top.value(fs) - basis_complex.u_top.value(fs),
+        basis_split.u_bot.value(fs) - basis_complex.u_bot.value(fs)]))))

@@ -17,11 +17,10 @@ a geodesic, and the pair inverts back through value = sqrt(-+ top*bot).
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 
 from .dense import CurveDense, SampledFunction, SegmentedCurve
 from .errors import (
@@ -29,7 +28,6 @@ from .errors import (
     NegativeRadicandError,
     OutsideSupportError,
     PathLeavesSupportError,
-    QuadratureFailureError,
     ResidualTooLargeError,
     RiccatiResidualTooLargeError,
     StartOnSingularSetError,
@@ -79,12 +77,12 @@ class _TrackedSqrt:
             self.flagged.append(float(t))
         return cand if d_plus <= d_minus else -cand
 
-    def __call__(self, t: float, radicand: complex) -> complex:
-        cand = np.sqrt(complex(radicand))
-        i = int(np.searchsorted(self.ts, t))
-        i = min(max(i, 0), len(self.ts) - 1)
+    def __call__(self, t, radicand):
+        """The root of ``radicand`` nearest the tracked root at the node at or after ``t``."""
+        cand = np.sqrt(np.asarray(radicand, dtype=complex))
+        i = np.minimum(np.searchsorted(self.ts, t), len(self.ts) - 1)
         anchor = self.values[i]
-        return cand if abs(cand - anchor) <= abs(-cand - anchor) else -cand
+        return np.where(np.abs(cand - anchor) <= np.abs(-cand - anchor), cand, -cand)
 
 
 class _ThetaView:
@@ -126,29 +124,35 @@ class ThetaPair:
     def is_real_output(self) -> bool:
         return self.spec.family is Family.HYPERBOLIC
 
+    @property
+    def _hyp_like(self) -> bool:
+        return self.spec.family in (Family.HYPERBOLIC, Family.COMPLEX_SPHERE)
+
     def _data(self, t):
         g = self.geodesic
-        v = g.value(t)
-        w = g.slope(t)
-        s = g.second(t)
         hj = eval_jet2(self.spec.h, g.point(t))
-        return v, w, s, hj.value, hj.d1
+        return g.value(t), g.slope(t), g.second(t), hj.value, hj.d1
 
-    def radicand(self, t):
-        v, w, _, h, _ = self._data(t)
-        if self.spec.family in (Family.HYPERBOLIC, Family.COMPLEX_SPHERE):
+    def _radicand(self, v, w, h):
+        if self._hyp_like:
             return (h - v * v) ** 2 + w * w
         return (h + v * v) ** 2 - w * w
+
+    def radicand(self, t):
+        v, w, _, h, _ = self._data(_params(t))
+        return self._radicand(v, w, h)
 
     def velocity_norm(self, t):
         """Tracked speed L of the explicit-form geodesic (radicand's root)."""
         if self.coincident:
             return 0.0
-        out = self._sqrt(t, self.radicand(t))
+        t = _params(t)
+        out = self._sqrt(t, self.radicand(t))[()]
         return out.real if self.is_real_output else out
 
     def _theta(self, t, which: str):
-        """(Theta, Theta') at parameter t; derivatives are in x or z.
+        """(Theta, Theta') at parameter t (a number or an array); derivatives
+        are in x or z.
 
         Theta = V (W + q) / den with q = -+L (hyperbolic, complex families)
         or q = +-iM (ads), den = h -+ V^2. Near a blow-up W + q nearly
@@ -156,8 +160,9 @@ class ThetaPair:
         Theta = -+ V den / (W - q) (exact identity via (W+q)(W-q) = -+den^2)
         is used instead.
         """
+        t = _params(t)
         v, w, s, h, hp = self._data(t)
-        hyp_like = self.spec.family in (Family.HYPERBOLIC, Family.COMPLEX_SPHERE)
+        hyp_like = self._hyp_like
         if hyp_like:
             den = h - v * v
             dden = hp - 2 * v * w
@@ -167,30 +172,26 @@ class ThetaPair:
         if self.coincident:
             q, dq = 0.0, 0.0
         else:
-            ell = self._sqrt(t, self.radicand(t))
+            ell = self._sqrt(t, self._radicand(v, w, h))
             if hyp_like:
                 dell = (den * dden + w * s) / ell
                 sign = -1.0 if which == "top" else 1.0
-                q, dq = sign * ell, sign * dell
             else:
                 dell = (den * dden - w * s) / ell
                 sign = 1j if which == "top" else -1j
-                q, dq = sign * ell, sign * dell
+            q, dq = sign * ell, sign * dell
         front = 1.0 if hyp_like else -1.0
-        if abs(w + q) >= 0.5 * (abs(w) + abs(q)):
-            num = front * v * (w + q)
-            dnum = front * (w * (w + q) + v * (s + dq))
-            theta = num / den
-            dtheta = (dnum - theta * dden) / den
-        else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # both forms are computed; each point keeps the well-conditioned one
+            theta_direct = front * v * (w + q) / den
+            dtheta_direct = (front * (w * (w + q) + v * (s + dq)) - theta_direct * dden) / den
             # conjugate form: W^2 - q^2 = -den^2 (hyp, complex) or +den^2
             # (ads); with front = +-1 both reduce to -V den / (W - q)
-            num = -v * den
-            dnum = -(w * den + v * dden)
-            d2 = w - q
-            dd2 = s - dq
-            theta = num / d2
-            dtheta = (dnum - theta * dd2) / d2
+            theta_conj = -v * den / (w - q)
+            dtheta_conj = (-(w * den + v * dden) - theta_conj * (s - dq)) / (w - q)
+        direct = np.abs(w + q) >= 0.5 * (np.abs(w) + np.abs(q))
+        theta = np.where(direct, theta_direct, theta_conj)[()]
+        dtheta = np.where(direct, dtheta_direct, dtheta_conj)[()]
         if self.is_real_output:
             return np.real(theta), np.real(dtheta)
         return theta, dtheta
@@ -218,12 +219,16 @@ class ThetaPair:
         return _ThetaView(self, "bot")
 
 
+def _params(t):
+    """A parameter as a float, or parameters as a float array."""
+    return float(t) if np.ndim(t) == 0 else np.asarray(t, dtype=float)
+
+
 def _denominators_and_radicands(spec: GeometrySpec, g: ExplicitGeodesic,
                                 grid: np.ndarray):
     vals = np.asarray(g.value(grid), dtype=complex)
     slopes = np.asarray(g.slope(grid), dtype=complex)
-    hs = np.array([eval_jet2(spec.h, g.point(float(t))).value for t in grid],
-                  dtype=complex)
+    hs = np.asarray(eval_jet2(spec.h, g.point(grid)).value, dtype=complex)
     if spec.family in (Family.HYPERBOLIC, Family.COMPLEX_SPHERE):
         dens = hs - vals * vals
         rads = dens * dens + slopes * slopes
@@ -252,97 +257,89 @@ def theta_from_geodesic(spec: GeometrySpec, g: ExplicitGeodesic) -> ThetaPair:
 
 # --- solution bases -------------------------------------------------------------
 
-def _quad_complex(f, a: float, b: float, tol: float) -> complex:
-    if a == b:
-        return 0.0
-    out = quad(f, a, b, epsabs=tol, epsrel=tol, limit=400,
-               complex_func=True, full_output=False)
-    val, err = out[0], out[1]
-    bad = max(abs(np.real(err)), abs(np.imag(err))) if np.iscomplexobj(err) else abs(err)
-    if bad > max(100 * tol, 1e-8 * max(1.0, abs(val))):
-        raise QuadratureFailureError(
-            f"quadrature error estimate {err} exceeds budget on [{a}, {b}]")
-    return val
+#: 4-point Gauss-Legendre rule on [-1, 1], exact for polynomials of degree 7
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
 
 
 class _ExpIntegralSolution:
     """u = exp(integral of Theta) as a dense function with two derivatives.
 
-    For path reconstructions the integral runs in the path parameter with the
-    path velocity as Jacobian, and u', u'' are z-derivatives.
+    The integral is a fixed 4-point Gauss-Legendre rule on every interval
+    between knots: the geodesic's nodes, the base point and the path
+    vertices. Its cumulative sums give the exponent at the knots; a query
+    adds one more rule from the knot at or below it, so u(t) depends on t
+    alone. For path reconstructions the integral runs in the path parameter
+    with the path velocity as Jacobian, and u', u'' are z-derivatives.
     """
 
-    def __init__(self, pair: ThetaPair, which: str, base_param: float, tol: float):
+    def __init__(self, pair: ThetaPair, which: str, base_param: float):
         self._pair = pair
         self._which = which
-        self._base = base_param
-        self._tol = tol
         self._path = pair.geodesic.path
         lo, hi = pair.support
-        self._breaks = [lo]
+        knots = [pair.geodesic.nodes, [lo, hi, base_param]]
         if self._path is not None:
-            self._breaks += [b for b in self._path.breaks if lo < b < hi]
-        self._breaks += [hi]
-        # anchors make repeated evaluations incremental: each new exponent
-        # integrates only from the nearest already-computed parameter
-        self._cache: dict[float, complex] = {base_param: 0.0}
-        self._anchors: list[float] = [base_param]
+            knots.append([b for b in self._path.breaks if lo < b < hi])
+        self._knots = np.unique(np.clip(np.concatenate(knots), lo, hi))
+        steps = self._rule(self._knots[:-1], self._knots[1:])
+        cumulative = np.concatenate([[0.0], np.cumsum(steps)])
+        base_knot = np.searchsorted(self._knots, min(max(base_param, lo), hi))
+        self._at_knots = cumulative - cumulative[base_knot]
 
     @property
     def support(self):
         return self._pair.support
 
-    def _theta_ds(self, s: float) -> complex:
-        th = self._pair._theta(s, self._which)[0]
-        if self._path is None:
-            return th
-        return th * self._path.velocity(s)
+    def _rule(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Integral of Theta (times dzeta/ds on paths) over each [a_i, b_i]."""
+        half = 0.5 * (b - a)
+        s = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
+        f = self._pair._theta(s.ravel(), self._which)[0]
+        if self._path is not None:
+            f = f * self._path.velocity(s.ravel())
+        return half * (f.reshape(s.shape) @ _GL_WEIGHTS)
 
-    def _integrate(self, a: float, b: float) -> complex:
-        if a == b:
-            return 0.0
-        lo, hi = min(a, b), max(a, b)
-        total = 0.0
-        for seg_lo, seg_hi in zip(self._breaks[:-1], self._breaks[1:]):
-            cut_lo, cut_hi = max(seg_lo, lo), min(seg_hi, hi)
-            if cut_lo < cut_hi:
-                total += _quad_complex(self._theta_ds, cut_lo, cut_hi, self._tol)
-        return total if b >= a else -total
-
-    def exponent(self, t: float) -> complex:
-        t = float(t)
-        if t in self._cache:
-            return self._cache[t]
-        i = bisect.bisect(self._anchors, t)
-        nearest = min(
-            (a for a in self._anchors[max(i - 1, 0):i + 1]),
-            key=lambda a: abs(a - t),
-        )
-        val = self._cache[nearest] + self._integrate(nearest, t)
-        self._cache[t] = val
-        bisect.insort(self._anchors, t)
-        return val
+    def exponent(self, t):
+        """Integral of Theta from the base point to t (a number or an array)."""
+        t = _params(t)
+        i = np.clip(np.searchsorted(self._knots, t, side="right") - 1, 0, len(self._knots) - 2)
+        tail = self._rule(np.ravel(self._knots[i]), np.ravel(t)).reshape(np.shape(t))
+        return (self._at_knots[i] + tail)[()]
 
     def value(self, t):
-        if np.ndim(t) > 0:
-            return np.array([self.value(ti) for ti in np.asarray(t)])
         out = np.exp(self.exponent(t))
-        return out.real if self._real_valued() else out
-
-    def _real_valued(self) -> bool:
-        return self._pair.is_real_output
+        return out.real if self._pair.is_real_output else out
 
     def d1(self, t):
-        if np.ndim(t) > 0:
-            return np.array([self.d1(ti) for ti in np.asarray(t)])
-        th = self._pair._theta(t, self._which)[0]
-        return th * self.value(t)
+        return self._pair._theta(t, self._which)[0] * self.value(t)
 
     def d2(self, t):
-        if np.ndim(t) > 0:
-            return np.array([self.d2(ti) for ti in np.asarray(t)])
         th, dth = self._pair._theta(t, self._which)
         return (dth + th * th) * self.value(t)
+
+    __call__ = value
+
+
+@dataclass(frozen=True)
+class _Combination:
+    """A u_top + B u_bot as a dense function."""
+
+    basis: "SolutionBasis"
+    a: complex
+    b: complex
+
+    @property
+    def support(self):
+        return self.basis.support
+
+    def value(self, t):
+        return self.a * self.basis.u_top.value(t) + self.b * self.basis.u_bot.value(t)
+
+    def d1(self, t):
+        return self.a * self.basis.u_top.d1(t) + self.b * self.basis.u_bot.d1(t)
+
+    def d2(self, t):
+        return self.a * self.basis.u_top.d2(t) + self.b * self.basis.u_bot.d2(t)
 
     __call__ = value
 
@@ -365,38 +362,22 @@ class SolutionBasis:
         return (self.u_top.value(t) * self.u_bot.d1(t)
                 - self.u_top.d1(t) * self.u_bot.value(t))
 
-    def combination(self, a: float, b: float):
+    def combination(self, a: float, b: float) -> _Combination:
         """A u_top + B u_bot as a dense function."""
-        top, bot = self.u_top, self.u_bot
-        outer = self
-
-        class _Combo:
-            support = self.support
-
-            def value(self, t):
-                return a * top.value(t) + b * bot.value(t)
-
-            def d1(self, t):
-                return a * top.d1(t) + b * bot.d1(t)
-
-            def d2(self, t):
-                return a * top.d2(t) + b * bot.d2(t)
-
-            __call__ = value
-        combo = _Combo()
-        combo.basis = outer
-        return combo
+        return _Combination(self, a, b)
 
 
 def reconstruct_basis(spec: GeometrySpec, g: ExplicitGeodesic, base=None,
-                      path: ComplexPath | None = None, tol: float = 1e-10,
+                      path: ComplexPath | None = None, tol: float | None = None,
                       check_residual: bool = True) -> SolutionBasis:
     """Reconstruct the solution basis of u'' + h u = 0 from a geodesic.
 
     ``base`` is the parameter value where both solutions equal 1 (defaults to
     the geodesic's anchor). With ``check_residual`` the geodesic equation's
     defect is verified first: curves that are not geodesics do not produce
-    solutions, and are rejected rather than silently reconstructed.
+    solutions, and are rejected rather than silently reconstructed. A NaN
+    defect counts as too large. ``tol`` is ignored: the basis integrals use a
+    fixed rule with no tolerance to set.
     """
     if path is not None and g.path is not None and path is not g.path:
         raise ValueError(
@@ -417,56 +398,59 @@ def reconstruct_basis(spec: GeometrySpec, g: ExplicitGeodesic, base=None,
         vals = np.atleast_1d(g.value(grid))
         slopes = np.atleast_1d(g.slope(grid))
         secs = np.atleast_1d(g.second(grid))
-        worst = 0.0
-        for i, t in enumerate(grid):
-            f = explicit_second(spec, g.point(float(t)), vals[i], slopes[i])
-            # relative to the local equation scale: explicit geodesics blow up
-            # at finite x, where any absolute gate would misfire
-            worst = max(worst, abs(secs[i] - f) / (1.0 + abs(f)))
-        if worst > RESIDUAL_GATE:
+        f = np.array([explicit_second(spec, p, v, w)
+                      for p, v, w in zip(g.point(grid), vals, slopes)])
+        # relative to the local equation scale: explicit geodesics blow up
+        # at finite x, where any absolute gate would misfire
+        worst = np.max(np.abs(secs - f) / (1.0 + np.abs(f)))
+        if not worst <= RESIDUAL_GATE:
             raise ResidualTooLargeError(
                 f"relative geodesic residual {worst:.3e} exceeds "
                 f"{RESIDUAL_GATE:.0e}; input curve does not solve the "
                 "explicit-form equation")
     pair = theta_from_geodesic(spec, g)
-    u_top = _ExpIntegralSolution(pair, "top", float(base), tol)
-    u_bot = _ExpIntegralSolution(pair, "bot", float(base), tol)
+    u_top = _ExpIntegralSolution(pair, "top", float(base))
+    u_bot = _ExpIntegralSolution(pair, "bot", float(base))
     return SolutionBasis(spec, pair, float(base), u_top, u_bot)
 
 
 # --- residuals -------------------------------------------------------------------
 
-def ode_residual(h: Expression, u, t):
-    """u'' + h u evaluated from dense-output derivatives at parameter t."""
-    if np.ndim(t) > 0:
-        return np.array([ode_residual(h, u, ti) for ti in np.asarray(t)])
-    lo, hi = u.support
-    if not (lo - 1e-9 <= t <= hi + 1e-9):
+def _points_in_support(f, t):
+    """The chart points of parameters ``t`` of a dense function ``f``."""
+    lo, hi = f.support
+    ts = _params(t)
+    if np.any(ts < lo - 1e-9) or np.any(ts > hi + 1e-9):
         raise OutsideSupportError(f"{t} outside [{lo}, {hi}]")
-    point = t
-    basis = getattr(u, "basis", None)
-    pair = getattr(u, "_pair", None) or (basis.theta if basis is not None else None)
+    basis = getattr(f, "basis", None)
+    pair = getattr(f, "_pair", None) or (basis.theta if basis is not None else None)
     if pair is not None and pair.geodesic.path is not None:
-        point = pair.geodesic.path.point(float(t))
+        return pair.geodesic.path.point(ts)
+    return ts
+
+
+def ode_residual(h: Expression, u, t):
+    """u'' + h u evaluated from dense-output derivatives at parameter t (or an array)."""
+    point = _points_in_support(u, t)
     return u.d2(t) + eval_jet2(h, point).value * u.value(t)
 
 
 def riccati_residual(h: Expression, theta, t):
     """Theta' + Theta^2 + h evaluated from dense-output derivatives."""
-    if np.ndim(t) > 0:
-        return np.array([riccati_residual(h, theta, ti) for ti in np.asarray(t)])
-    lo, hi = theta.support
-    if not (lo - 1e-9 <= t <= hi + 1e-9):
-        raise OutsideSupportError(f"{t} outside [{lo}, {hi}]")
-    point = t
-    pair = getattr(theta, "_pair", None)
-    if pair is not None and pair.geodesic.path is not None:
-        point = pair.geodesic.path.point(float(t))
+    point = _points_in_support(theta, t)
     val = theta.value(t)
     return theta.d1(t) + val * val + eval_jet2(h, point).value
 
 
 # --- inversion -------------------------------------------------------------------
+
+def _velocity_inside(path: ComplexPath, ts: np.ndarray) -> np.ndarray:
+    """dzeta/ds at the nodes of one path segment, its ends taken from inside it."""
+    inner = ts.copy()
+    inner[0] = np.nextafter(ts[0], ts[-1])
+    inner[-1] = np.nextafter(ts[-1], ts[0])
+    return path.velocity(inner)
+
 
 def invert_to_geodesic(source, refine: int = 3) -> ExplicitGeodesic:
     """Recover the explicit-form geodesic from a basis or a Theta pair.
@@ -475,52 +459,55 @@ def invert_to_geodesic(source, refine: int = 3) -> ExplicitGeodesic:
     value = sqrt(+top*bot) for ads; the root is continued from the base
     (positive real part there), matching the uniqueness statement of the
     inversion formulas. ``refine`` controls the sampling density of the
-    recovered curve between the source's nodes.
+    recovered curve between the source's nodes. Along a path the recovered
+    curve has one piece per piece of the source, so that the jump of the
+    path velocity at a vertex is not smeared.
     """
     if isinstance(source, SolutionBasis):
         pair = source.theta
-        lo, hi = pair.support
-        probe = np.linspace(lo, hi, 33)
-        u_vals = np.array([source.u_top.value(t) for t in probe])
-        u_vals_b = np.array([source.u_bot.value(t) for t in probe])
-        if np.min(np.abs(u_vals)) == 0.0 or np.min(np.abs(u_vals_b)) == 0.0:
+        probe = np.linspace(*pair.support, 33)
+        if (np.min(np.abs(source.u_top.value(probe))) == 0.0
+                or np.min(np.abs(source.u_bot.value(probe))) == 0.0):
             raise ZeroCrossingOfUError("a basis solution vanishes on the support")
     elif isinstance(source, ThetaPair):
         pair = source
     else:
         raise TypeError("source must be a SolutionBasis or ThetaPair")
-    grid = pair.geodesic._values.refined(refine)
+    g0 = pair.geodesic
+    grid = g0._values.refined(refine)
     spec = pair.spec
     sign = 1.0 if spec.family in (Family.ADS_PLUS, Family.ADS_MINUS) else -1.0
-    prods = np.empty(len(grid), dtype=complex)
-    dprods = np.empty(len(grid), dtype=complex)
-    for i, t in enumerate(grid):
-        top, dtop = pair._theta(t, "top")
-        bot, dbot = pair._theta(t, "bot")
-        prods[i] = sign * top * bot
-        dprods[i] = sign * (dtop * bot + top * dbot)
+    top, dtop = pair._theta(grid, "top")
+    bot, dbot = pair._theta(grid, "bot")
+    # broadcast: a pair that is constant may answer with scalars
+    prods = np.broadcast_to(sign * top * bot, grid.shape).astype(complex)
+    dprods = np.broadcast_to(sign * (dtop * bot + top * dbot), grid.shape).astype(complex)
     real_family = spec.family is not Family.COMPLEX_SPHERE
     if real_family and np.min(prods.real) < -1e-9 * max(1.0, np.max(np.abs(prods))):
         raise NegativeRadicandError(
             "top*bot has the wrong sign; the pair did not come from this "
             "family's geodesic")
-    base_index = int(np.argmin(np.abs(grid - pair.geodesic.base_param)))
-    tracked = _TrackedSqrt(grid, prods, base_index)
-    vals = tracked.values
+    base_index = int(np.argmin(np.abs(grid - g0.base_param)))
+    vals = _TrackedSqrt(grid, prods, base_index).values
     # value' = (sign * top*bot)' / (2 value)
     slopes = dprods / (2 * vals)
     if real_family:
         vals, slopes = vals.real, slopes.real
-    g0 = pair.geodesic
     if g0.path is None:
         curve = CurveDense(grid, [vals, slopes])
         return ExplicitGeodesic(spec, g0.base, g0.termination, curve)
-    dvals = np.array([slopes[i] * g0.path.velocity(float(t))
-                      for i, t in enumerate(grid)])
-    value_curve = SegmentedCurve([CurveDense(grid, [vals, dvals])])
-    slope_curve = SegmentedCurve([CurveDense(grid, [slopes, np.gradient(slopes, grid)])])
-    return ExplicitGeodesic(spec, g0.base, g0.termination, value_curve,
-                            g0.path, slope_curve)
+    value_pieces, slope_pieces = [], []
+    start = 0
+    for piece in g0._values.pieces:
+        # SegmentedCurve.refined shares each join between adjacent pieces
+        part = slice(start, start + (len(piece.nodes) - 1) * (refine + 1) + 1)
+        start = part.stop - 1
+        ts = grid[part]
+        dvals = slopes[part] * _velocity_inside(g0.path, ts)
+        value_pieces.append(CurveDense(ts, [vals[part], dvals]))
+        slope_pieces.append(CurveDense(ts, [slopes[part], np.gradient(slopes[part], ts)]))
+    return ExplicitGeodesic(spec, g0.base, g0.termination, SegmentedCurve(value_pieces),
+                            g0.path, SegmentedCurve(slope_pieces))
 
 
 # --- Riccati solutions as geodesics ----------------------------------------------
@@ -602,7 +589,7 @@ def riccati_solution_is_geodesic(spec: GeometrySpec, theta,
     """
     lo, hi = theta.support
     grid = np.linspace(lo, hi, 257)
-    ric = np.max(np.abs([riccati_residual(spec.h, theta, t) for t in grid]))
+    ric = np.max(np.abs(riccati_residual(spec.h, theta, grid)))
     if ric > tol:
         raise RiccatiResidualTooLargeError(
             f"Riccati residual {ric:.3e} exceeds {tol:.0e}")
@@ -667,8 +654,7 @@ def path_independence_check(spec: GeometrySpec, g: ExplicitGeodesic,
         if gp.termination is not Termination.RANGE_END:
             raise PathLeavesSupportError(
                 f"path hits the domain boundary at s={gp.support[1]:.6g}")
-        basis = reconstruct_basis(spec, gp, tol=min(tol * 1e-2, 1e-10),
-                                  check_residual=False)
+        basis = reconstruct_basis(spec, gp, check_residual=False)
         integrals.append((basis.u_top.exponent(1.0), basis.u_bot.exponent(1.0)))
     (ta, ba), (tb, bb) = integrals
     return PathIndependenceReport(abs(ta - tb), abs(ba - bb), tol)

@@ -31,7 +31,7 @@ def airy_geodesic():
 def airy_basis(airy_geodesic):
     from geodesy import reconstruct
     spec, g = airy_geodesic
-    return spec, g, reconstruct.reconstruct_basis(spec, g, base=0.0, tol=1e-11)
+    return spec, g, reconstruct.reconstruct_basis(spec, g, base=0.0)
 
 
 @pytest.fixture(scope="session")
@@ -41,4 +41,4 @@ def harmonic_basis():
     spec = make_spec("ads+", "1")
     g = geodesics.integrate_explicit(spec, 0.0, 1.0, 0.0,
                                      support=(0.0, 2.0 * np.pi), tol=1e-12)
-    return spec, g, reconstruct.reconstruct_basis(spec, g, base=0.0, tol=1e-11)
+    return spec, g, reconstruct.reconstruct_basis(spec, g, base=0.0)

@@ -117,11 +117,11 @@ def pool_geodesics(airy_basis, harmonic_basis):
     spec_s = make_spec("hyperbolic", "sin(x)+3")
     g_s = integrate_explicit(spec_s, 0.0, 1.2, 0.4, support=(-1.0, 1.0),
                              tol=1e-12)
-    out.append((spec_s, g_s, rc.reconstruct_basis(spec_s, g_s, tol=1e-11)))
+    out.append((spec_s, g_s, rc.reconstruct_basis(spec_s, g_s)))
     spec_c = make_spec("complex", "exp(z)")
     path = ComplexPath.polyline([0, 1 + 1j])
     g_c = integrate_explicit(spec_c, 0, 1.5j, 0.2, path=path, tol=1e-12)
-    out.append((spec_c, g_c, rc.reconstruct_basis(spec_c, g_c, tol=1e-11)))
+    out.append((spec_c, g_c, rc.reconstruct_basis(spec_c, g_c)))
     return out
 
 

@@ -183,7 +183,7 @@ def test_complex_solve_against_brute_force_rk(capsys):
     spec = make_spec("complex", "z")
     path = geodesics.ComplexPath.polyline([0, 1 + 1j])
     g = geodesics.integrate_explicit(spec, 0, 1.5j, 0.2, path=path, tol=1e-12)
-    basis = reconstruct.reconstruct_basis(spec, g, tol=1e-11)
+    basis = reconstruct.reconstruct_basis(spec, g)
     vel = 1 + 1j
     theta0 = basis.theta.top(0.0)
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geodesy import expr
@@ -136,6 +136,65 @@ def _trees(leaf):
 def test_render_reparse_identity(tree):
     rendered = expr._render(tree, 0)
     assert parse(rendered).root == tree
+
+
+def _subtrees(node):
+    yield node
+    for child in (getattr(node, "operand", None), getattr(node, "arg", None),
+                  getattr(node, "left", None), getattr(node, "right", None)):
+        if child is not None:
+            yield from _subtrees(child)
+
+
+def _jet_scale(tree, x):
+    """Largest jet part over every subtree at x: rounding differences
+    between math and numpy grow with it."""
+    parts = []
+    for node in _subtrees(tree):
+        jet = expr._eval(node, expr.Jet2.variable(x), False)
+        parts += [abs(jet.value), abs(jet.d1), abs(jet.d2)]
+    return max(parts)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_trees(st.one_of(_literals, st.just(Variable("x")))),
+       st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6))
+def test_array_jets_equal_scalar_jets(tree, xs):
+    """eval_jet2 over an ndarray equals eval_jet2 point by point; a DomainError
+    at any point is a DomainError for the whole array."""
+    e = expr.Expression(tree, "real", expr._render(tree, 0))
+    at = np.array(xs)
+    scalar, bad = [], False
+    for x in xs:
+        try:
+            scalar.append(eval_jet2(e, x))
+        except DomainError:
+            bad = True
+        except (OverflowError, ZeroDivisionError):
+            assume(False)
+    if bad:
+        with pytest.raises(DomainError):
+            eval_jet2(e, at)
+        return
+    parts = np.array([[j.value, j.d1, j.d2] for j in scalar])
+    assume(np.all(np.isfinite(parts)))
+    scale = max(_jet_scale(tree, x) for x in xs)
+    assume(scale < 1e8)
+    jet = eval_jet2(e, at)
+    for k, got in enumerate((jet.value, jet.d1, jet.d2)):
+        assert got.shape == at.shape
+        assert np.allclose(got, parts[:, k], rtol=1e-9, atol=1e-9 * scale)
+
+
+@pytest.mark.parametrize("source, bad", [
+    ("log(x)", 0.0), ("log(x)", -0.5), ("sqrt(x)", 0.0), ("sqrt(x)", -2.0),
+    ("sqrt(x-1)", 1.0),
+])
+def test_array_jets_reject_a_nonpositive_entry(source, bad):
+    e = parse(source)
+    assert eval_jet2(e, np.array([2.0, 3.0])).value.shape == (2,)
+    with pytest.raises(DomainError):
+        eval_jet2(e, np.array([2.0, bad, 3.0]))
 
 
 @settings(max_examples=80, deadline=None)

@@ -39,7 +39,7 @@ def test_theta_harmonic_oscillator(harmonic_basis):
 def test_exponential_basis():
     spec = make_spec("hyperbolic", "-1")
     g = integrate_explicit(spec, 0.0, 1.0, 0.0, support=(0, 2), tol=1e-12)
-    basis = rc.reconstruct_basis(spec, g, tol=1e-11)
+    basis = rc.reconstruct_basis(spec, g)
     xs = np.linspace(0, 2, 17)
     assert np.max(np.abs(basis.u_top.value(xs) - np.exp(xs))) < 1e-9
     assert np.max(np.abs(basis.u_bot.value(xs) - np.exp(-xs))) < 1e-9
@@ -279,7 +279,7 @@ def test_degeneracy_probe_tanh_case():
     # both Thetas collapse onto tanh itself
     assert pair.top(1.0) == pytest.approx(np.tanh(1.0), abs=1e-9)
     assert pair.top(1.0) == pair.bot(1.0)
-    basis = rc.reconstruct_basis(spec, g, tol=1e-11)
+    basis = rc.reconstruct_basis(spec, g)
     assert abs(basis.wronskian(1.0)) < 1e-12
 
 
@@ -369,3 +369,78 @@ def test_radicand_grazing_zero_is_flagged():
     away = np.abs(rads) > 0.05
     rr = np.abs(rc.riccati_residual(spec.h, pair.top_view(), ts[away]))
     assert rr.max() < 1e-6
+
+
+# --- the array query layer ------------------------------------------------------
+
+#: a two-segment polyline case whose inversion once smeared the vertex kink
+VERTEX_PATH = ("0,0;0.4799763778850506,0.21155935980849722;"
+               "0.8303317417820015,0.6871696494890578")
+
+
+def _vertex_geodesic():
+    spec = make_spec("complex", "z^2+1")
+    path = ComplexPath.from_text(VERTEX_PATH)
+    g = integrate_explicit(spec, 0, 1.3014680524551971j, 0.08463520948727327,
+                           path=path, tol=1e-12)
+    return spec, g
+
+
+@pytest.fixture(scope="module")
+def query_bases(airy_basis, harmonic_basis):
+    spec_c, g_c = _vertex_geodesic()
+    return [airy_basis[2], harmonic_basis[2], rc.reconstruct_basis(spec_c, g_c)]
+
+
+def test_basis_values_do_not_depend_on_query_order(query_bases):
+    rng = np.random.default_rng(3)
+    for basis in query_bases:
+        ts = np.linspace(*basis.support, 41)
+        shuffled = rng.permutation(len(ts))
+        for u in (basis.u_top, basis.u_bot):
+            forward = u.value(ts)
+            backward = u.value(ts[::-1])[::-1]
+            mixed = np.empty_like(forward)
+            mixed[shuffled] = u.value(ts[shuffled])
+            one_by_one = np.array([u.value(t) for t in ts[shuffled]])
+            scale = np.abs(forward)
+            for other in (backward, mixed):
+                assert np.all(np.abs(other - forward) <= 1e-14 * scale)
+            assert np.all(np.abs(one_by_one - forward[shuffled]) <= 1e-14 * scale[shuffled])
+            assert np.ndim(u.value(ts[3])) == 0 and np.ndim(u.d2(ts[3])) == 0
+
+
+def test_array_theta_matches_scalar_where_the_conjugate_form_is_taken(airy_basis):
+    """Near the Airy blow-up W - L cancels for top: the conjugate form runs."""
+    spec, g, basis = airy_basis
+    pair = basis.theta
+    ts = np.linspace(*g.support, 301)
+    v, w, _, h, _ = pair._data(ts)
+    q = -pair._sqrt(ts, pair._radicand(v, w, h))
+    conjugate = np.abs(w + q) < 0.5 * (np.abs(w) + np.abs(q))
+    assert conjugate.any() and not conjugate.all(), "case selection"
+    for which in ("top", "bot"):
+        theta, dtheta = pair._theta(ts, which)
+        scalar = np.array([pair._theta(t, which) for t in ts])
+        assert np.ndim(pair._theta(ts[0], which)[0]) == 0
+        assert np.allclose(theta, scalar[:, 0], rtol=1e-14, atol=0)
+        assert np.allclose(dtheta, scalar[:, 1], rtol=1e-14, atol=0)
+
+
+def test_nan_in_sampled_second_derivative_fails_the_residual_gate():
+    """Phi = 1 solves the h = -1 equation; one NaN second derivative must not
+    slip through the gate as a zero defect."""
+    spec = make_spec("hyperbolic", "-1")
+    g = ExplicitGeodesic.from_function(
+        spec, lambda x: 1.0, (0, 2), dfn=lambda x: 0.0,
+        d2fn=lambda x: np.nan if x == 1.0 else 0.0)
+    with pytest.raises(ResidualTooLargeError):
+        rc.reconstruct_basis(spec, g, check_residual=True)
+
+
+def test_inversion_round_trips_across_a_polyline_vertex():
+    spec, g = _vertex_geodesic()
+    basis = rc.reconstruct_basis(spec, g)
+    rec = rc.invert_to_geodesic(basis)
+    ss = np.linspace(*g.support, 101)
+    assert np.max(np.abs(rec.value(ss) - g.value(ss))) < 1e-7
