@@ -31,9 +31,9 @@ from .geodesics import (
     integrate_geodesic,
 )
 from .geometry import (
+    FAMILY_FACTS,
     Family,
     GeometrySpec,
-    REAL_FAMILIES,
     curvature_at,
     metric_at,
     sample_domain_points,
@@ -57,11 +57,24 @@ def _check(name: str, points: int, max_dev: float, tol: float) -> dict:
     }
 
 
+def _sup(deviations) -> float:
+    """The largest deviation, NaN if any is NaN (0.0 for none)."""
+    return float(np.max(deviations, initial=0.0))
+
+
 def _complex_scalar(text: str) -> complex:
     if "," in text:
         re_s, im_s = text.split(",")
         return complex(float(re_s), float(im_s))
     return complex(float(text))
+
+
+def _chart_numbers(text: str, spec: GeometrySpec) -> tuple:
+    """"a,b,..." as chart numbers; pairs (re, im) on the complex chart."""
+    raw = [float(v) for v in text.split(",")]
+    if spec.is_complex_chart:
+        return tuple(complex(re, im) for re, im in zip(raw[0::2], raw[1::2]))
+    return tuple(raw)
 
 
 def _span(text: str) -> tuple[float, float]:
@@ -109,8 +122,7 @@ class Scenario:
 
 def _spec_from(scenario: Scenario, default_family: str | None = None) -> GeometrySpec:
     family = Family.from_name(scenario.get("family", default_family) or "")
-    mode = "real" if family in REAL_FAMILIES else "complex"
-    h = parse(scenario.require("h"), mode)
+    h = parse(scenario.require("h"), FAMILY_FACTS[family].h_mode)
     return GeometrySpec(family, h)
 
 
@@ -122,37 +134,34 @@ def run_curvature(scenario: Scenario) -> tuple[list[dict], list[dict]]:
     points = scenario.intval("points", 100)
     rng = np.random.default_rng(scenario.seed)
     pts = sample_domain_points(spec, rng, points)
-    rows = []
-    if spec.family is Family.KAHLER_NORDEN:
-        eta_dev = scalar_dev = fit_dev = cons_dev = 0.0
-        for p in pts:
-            rep = curvature_at(spec, p)
-            eta_dev = max(eta_dev, abs(rep.einstein_eta + 2.0))
-            scalar_dev = max(scalar_dev, abs(rep.ricci_scalar + 8.0))
-            fit_dev = max(fit_dev, rep.einstein_fit_residual)
-            cons_dev = max(cons_dev, kn.kn_metric_consistency(spec, p))
-            rows.append({"x": p[0], "Phi": p[1], "y": p[2], "Psi": p[3],
-                         "eta": rep.einstein_eta, "ricci_scalar": rep.ricci_scalar})
+    reps = [curvature_at(spec, p) for p in pts]
+    expected = spec.facts.expected
+    # deviations are reduced with np.max, which keeps a NaN (the builtin max
+    # drops it), so a NaN fails its check
+    if spec.dim == 4:
         checks = [
-            _check("einstein_eta", points, eta_dev, tol),
-            _check("ricci_scalar", points, scalar_dev, tol),
-            _check("einstein_fit_residual", points, fit_dev, tol),
-            _check("metric_consistency", points, cons_dev, 1e-10),
+            _check("einstein_eta", points,
+                   _sup([abs(r.einstein_eta - expected) for r in reps]), tol),
+            _check("ricci_scalar", points,
+                   _sup([abs(r.ricci_scalar - spec.dim * expected) for r in reps]), tol),
+            _check("einstein_fit_residual", points,
+                   _sup([r.einstein_fit_residual for r in reps]), tol),
+            _check("metric_consistency", points,
+                   _sup([kn.kn_metric_consistency(spec, p) for p in pts]), 1e-10),
         ]
+        rows = [{"x": p[0], "Phi": p[1], "y": p[2], "Psi": p[3],
+                 "eta": r.einstein_eta, "ricci_scalar": r.ricci_scalar}
+                for p, r in zip(pts, reps)]
         return checks, rows
-    expected_k = 1.0 if spec.family is Family.ADS_MINUS else -1.0
-    k_dev = ricci_dev = 0.0
-    for p in pts:
-        rep = curvature_at(spec, p)
-        g = metric_at(spec, p).components
-        k_dev = max(k_dev, abs(rep.sectional_k - expected_k))
-        ricci_dev = max(ricci_dev, float(np.max(np.abs(rep.ricci - expected_k * g))))
-        rows.append({"coord0": complex(p[0]), "coord1": complex(p[1]),
-                     "K": complex(rep.sectional_k)})
+    ricci_devs = [np.max(np.abs(r.ricci - expected * metric_at(spec, p).components))
+                  for p, r in zip(pts, reps)]
     checks = [
-        _check("sectional_k", points, k_dev, tol),
-        _check("ricci_proportional", points, ricci_dev, tol),
+        _check("sectional_k", points,
+               _sup([abs(r.sectional_k - expected) for r in reps]), tol),
+        _check("ricci_proportional", points, _sup(ricci_devs), tol),
     ]
+    rows = [{"coord0": complex(p[0]), "coord1": complex(p[1]), "K": complex(r.sectional_k)}
+            for p, r in zip(pts, reps)]
     return checks, rows
 
 
@@ -161,40 +170,29 @@ def run_geodesic(scenario: Scenario) -> tuple[list[dict], list[dict]]:
     tol = scenario.tol
     rk_tol = scenario.floatval("rk_tol", 1e-11)
     span = _span(scenario.require("span"))
-    if spec.is_complex_chart:
-        raw = [float(v) for v in scenario.require("coords").split(",")]
-        coords = (complex(raw[0], raw[1]), complex(raw[2], raw[3]))
-        raw = [float(v) for v in scenario.require("velocity").split(",")]
-        velocity = (complex(raw[0], raw[1]), complex(raw[2], raw[3]))
-    else:
-        coords = tuple(float(v) for v in scenario.require("coords").split(","))
-        velocity = tuple(float(v) for v in scenario.require("velocity").split(","))
-    state = GeodesicState(coords, velocity)
+    state = GeodesicState(_chart_numbers(scenario.require("coords"), spec),
+                          _chart_numbers(scenario.require("velocity"), spec))
     traj = integrate_geodesic(spec, state, span, tol=rk_tol)
     grid = np.linspace(traj.s[0], traj.s[-1], scenario.intval("samples", 101))
     speeds = np.array([traj.speed_squared(s) for s in grid])
     drift = float(np.max(np.abs(speeds - speeds[0])) / max(abs(speeds[0]), 1e-30))
     checks = [_check("speed_conservation", len(grid), drift, tol)]
-    if spec.family in (Family.ADS_PLUS, Family.ADS_MINUS):
+    if spec.facts.sign < 0:
+        # the other ads sign shares every geodesic
         other = GeometrySpec(
             Family.ADS_MINUS if spec.family is Family.ADS_PLUS else Family.ADS_PLUS,
             spec.h)
         traj2 = integrate_geodesic(other, state, span, tol=rk_tol)
         hi = min(traj.s[-1], traj2.s[-1])
-        dev = max(
-            float(np.max(np.abs(np.concatenate(traj.state_at(s))
-                                - np.concatenate(traj2.state_at(s)))))
-            for s in np.linspace(traj.s[0], hi, 33))
+        dev = _sup([np.max(np.abs(np.concatenate(traj.state_at(s))
+                                  - np.concatenate(traj2.state_at(s))))
+                    for s in np.linspace(traj.s[0], hi, 33)])
         checks.append(_check("ads_sign_shared_geodesics", 33, dev, 1e-10))
+    names = spec.coord_names
     rows = []
     for s in grid:
         q, v = traj.state_at(s)
-        row = {"s": s}
-        for name, val in zip(spec.coord_names, q):
-            row[name] = val
-        for name, val in zip(spec.coord_names, v):
-            row["d" + name] = val
-        rows.append(row)
+        rows.append({"s": s, **dict(zip(names, q)), **dict(zip(["d" + n for n in names], v))})
     rows.append({"s": f"termination={traj.termination.value}"})
     return checks, rows
 
@@ -214,20 +212,17 @@ def _solve_geodesic(scenario: Scenario, spec: GeometrySpec):
     rk_tol = scenario.floatval("rk_tol", 1e-12)
     max_step = scenario.get("max_step")
     cap = scenario.floatval("value_cap", 1e6)
+    number = _complex_scalar if spec.is_complex_chart else float
+    value0 = number(scenario.require("value0"))
+    slope0 = number(scenario.get("slope0", "0"))
+    options = {"tol": rk_tol, "value_cap": cap,
+               "max_step": float(max_step) if max_step else None}
     if spec.is_complex_chart:
         path = ComplexPath.from_text(scenario.require("path"))
-        value0 = _complex_scalar(scenario.require("value0"))
-        slope0 = _complex_scalar(scenario.get("slope0", "0"))
-        g = integrate_explicit(spec, path.start, value0, slope0, path=path,
-                               tol=rk_tol, value_cap=cap,
-                               max_step=float(max_step) if max_step else None)
+        g = integrate_explicit(spec, path.start, value0, slope0, path=path, **options)
     else:
-        span = _span(scenario.require("span"))
-        g = integrate_explicit(spec, scenario.floatval("x0", 0.0),
-                               scenario.floatval("value0"),
-                               scenario.floatval("slope0", 0.0),
-                               support=span, tol=rk_tol, value_cap=cap,
-                               max_step=float(max_step) if max_step else None)
+        g = integrate_explicit(spec, scenario.floatval("x0", 0.0), value0, slope0,
+                               support=_span(scenario.require("span")), **options)
     return g, True
 
 
@@ -255,7 +250,7 @@ def run_solve(scenario: Scenario) -> tuple[list[dict], list[dict]]:
         checks.append(_check("wronskian_constant", len(grid),
                              float(np.max(np.abs(wr - wr[0]))
                                    / max(abs(wr[0]), 1e-30)), tol))
-    sign = 1.0 if spec.family in (Family.ADS_PLUS, Family.ADS_MINUS) else -1.0
+    sign = -float(spec.facts.sign)  # top*bot = -s value^2
     values = g.value(grid)
     prod_dev = np.max(np.abs(basis.theta.product(grid) - sign * values ** 2))
     checks.append(_check("theta_product_identity", len(grid), float(prod_dev),
@@ -277,20 +272,18 @@ def run_solve(scenario: Scenario) -> tuple[list[dict], list[dict]]:
 
 
 def run_riccati(scenario: Scenario) -> tuple[list[dict], list[dict]]:
+    # a real Riccati solution is an ads geodesic, a complex one (times -i)
+    # a complex-sphere geodesic
+    modes = {"real": (Family.ADS_PLUS, float, "real"),
+             "complex": (Family.COMPLEX_SPHERE, _complex_scalar, "imaginary")}
     mode = scenario.get("mode", "real")
-    tol = scenario.tol
-    if mode == "real":
-        h = parse(scenario.require("h"), "real")
-        spec = GeometrySpec(Family.ADS_PLUS, h)
-        theta0 = scenario.floatval("theta0")
-        sign_mode = "real"
-    elif mode == "complex":
-        h = parse(scenario.require("h"), "complex")
-        spec = GeometrySpec(Family.COMPLEX_SPHERE, h)
-        theta0 = _complex_scalar(scenario.require("theta0"))
-        sign_mode = "imaginary"
-    else:
+    if mode not in modes:
         raise ValueError("mode must be 'real' or 'complex'")
+    family, number, sign_mode = modes[mode]
+    tol = scenario.tol
+    h = parse(scenario.require("h"), FAMILY_FACTS[family].h_mode)
+    spec = GeometrySpec(family, h)
+    theta0 = number(scenario.require("theta0"))
     span = _span(scenario.require("span"))
     x0 = scenario.floatval("x0", span[0])
     theta = rc.integrate_riccati(h, theta0, x0, span,
@@ -314,21 +307,17 @@ def run_kn_verify(scenario: Scenario) -> tuple[list[dict], list[dict]]:
     points = scenario.intval("points", 60)
     rng = np.random.default_rng(scenario.seed)
     pts = sample_domain_points(spec, rng, points)
-    cr_dev = cons_dev = eta_dev = scalar_dev = chr_dev = 0.0
-    for p in pts:
-        r1, r2 = kn.cauchy_riemann_residual(h, p[0], p[2])
-        cr_dev = max(cr_dev, r1, r2)
-        cons_dev = max(cons_dev, kn.kn_metric_consistency(spec, p))
-        rep = curvature_at(spec, p)
-        eta_dev = max(eta_dev, abs(rep.einstein_eta + 2.0))
-        scalar_dev = max(scalar_dev, abs(rep.ricci_scalar + 8.0))
-        chr_dev = max(chr_dev, kn.kn_christoffel_correspondence(spec, p).worst)
+    reps = [curvature_at(spec, p) for p in pts]
+    eta = spec.facts.expected
     checks = [
-        _check("cauchy_riemann", points, cr_dev, 1e-8),
-        _check("metric_consistency", points, cons_dev, 1e-10),
-        _check("einstein_eta", points, eta_dev, tol),
-        _check("ricci_scalar", points, scalar_dev, tol),
-        _check("christoffel_correspondence", points, chr_dev, 1e-8),
+        _check("cauchy_riemann", points,
+               _sup([kn.cauchy_riemann_residual(h, p[0], p[2]) for p in pts]), 1e-8),
+        _check("metric_consistency", points,
+               _sup([kn.kn_metric_consistency(spec, p) for p in pts]), 1e-10),
+        _check("einstein_eta", points, _sup([abs(r.einstein_eta - eta) for r in reps]), tol),
+        _check("ricci_scalar", points, _sup([abs(r.ricci_scalar - spec.dim * eta) for r in reps]), tol),
+        _check("christoffel_correspondence", points,
+               _sup([kn.kn_christoffel_correspondence(spec, p).worst for p in pts]), 1e-8),
     ]
     coords = tuple(float(v) for v in
                    scenario.get("split_coords", "0,1.6,0,0.4").split(","))

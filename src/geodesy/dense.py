@@ -118,36 +118,3 @@ class SegmentedCurve:
         parts = [p.refined(per_interval)[:-1] for p in self.pieces[:-1]]
         return np.concatenate(parts + [self.pieces[-1].refined(per_interval)])
 
-
-class SampledFunction:
-    """A plain dense scalar function (value, d1, d2) over an interval.
-
-    Thin adapter so residual checks accept hand-built curves (e.g. a constant
-    non-geodesic) and reconstructed solutions through one interface.
-    """
-
-    def __init__(self, curve: CurveDense):
-        self._curve = curve
-
-    @classmethod
-    def from_callables(cls, fn, d1fn, d2fn, support, num: int = 129) -> "SampledFunction":
-        ts = np.linspace(support[0], support[1], num)
-        vals = np.array([fn(t) for t in ts])
-        d1 = np.array([d1fn(t) for t in ts])
-        d2 = np.array([d2fn(t) for t in ts])
-        return cls(CurveDense(ts, [vals, d1, d2]))
-
-    @property
-    def support(self):
-        return self._curve.support
-
-    def value(self, t):
-        return self._curve.value(t)
-
-    def d1(self, t):
-        return self._curve.d1(t)
-
-    def d2(self, t):
-        return self._curve.d2(t)
-
-    __call__ = value

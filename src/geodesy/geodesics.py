@@ -29,13 +29,15 @@ from .errors import (
 )
 from .expr import Jet2, eval_jet2
 from .geometry import (
-    Family,
     GeometrySpec,
-    REAL_FAMILIES,
+    add_signed,
+    chart_pair,
     christoffel_table,
+    den_at,
     domain_violation,
     metric_at,
     require_in_domain,
+    signed,
 )
 
 #: default width of the stop band in front of the domain boundary
@@ -63,6 +65,13 @@ def _to_complex(r) -> np.ndarray:
 
 def _complex_out(value, s):
     return complex(value) if np.ndim(s) == 0 else np.asarray(value, dtype=complex)
+
+
+def _packing(spec: GeometrySpec):
+    """(pack, unpack) between chart values and the real solver state."""
+    if spec.is_complex_chart:
+        return _to_real, _to_complex
+    return (lambda c: np.asarray(c, dtype=float)), (lambda r: r)
 
 
 # --- complex paths -------------------------------------------------------------
@@ -173,12 +182,9 @@ class GeodesicTrajectory:
         lo, hi = self.s_span
         if np.any(np.asarray(s) < lo - 1e-12) or np.any(np.asarray(s) > hi + 1e-12):
             raise OutsideSupportError(f"s={s} outside [{lo}, {hi}]")
-        y = self._dense(np.clip(s, lo, hi))
-        if self.spec.is_complex_chart:
-            c = _to_complex(y)
-            return c[:2], c[2:]
+        c = _packing(self.spec)[1](self._dense(np.clip(s, lo, hi)))
         n = self.spec.dim
-        return y[:n], y[n:]
+        return c[:n], c[n:]
 
     def speed_squared(self, s: float) -> complex:
         """g(velocity, velocity); conserved along Levi-Civita geodesics."""
@@ -187,63 +193,61 @@ class GeodesicTrajectory:
         return v @ g @ v
 
 
+def accelerations(spec: GeometrySpec, coords, velocities) -> np.ndarray:
+    """-Gamma^i_jk v^j v^k at each sample (one row of coords and velocities each)."""
+    return np.array([-np.einsum("ijk,j,k->i", christoffel_table(spec, q), v, v)
+                     for q, v in zip(coords, velocities)])
+
+
 def _affine_rhs(spec: GeometrySpec):
-    if spec.is_complex_chart:
-        def rhs(_s, y):
-            c = _to_complex(y)
-            q, v = c[:2], c[2:]
-            gam = christoffel_table(spec, q)
-            acc = -np.einsum("ijk,j,k->i", gam, v, v)
-            return np.concatenate([_to_real(v), _to_real(acc)])
-        return rhs
+    pack, unpack = _packing(spec)
     n = spec.dim
 
     def rhs(_s, y):
-        q, v = y[:n], y[n:]
-        gam = christoffel_table(spec, q)
-        acc = -np.einsum("ijk,j,k->i", gam, v, v)
-        return np.concatenate([v, acc])
+        c = unpack(y)
+        q, v = c[:n], c[n:]
+        acc = -np.einsum("ijk,j,k->i", christoffel_table(spec, q), v, v)
+        return np.concatenate([pack(v), pack(acc)])
     return rhs
 
 
-def _boundary_events(spec: GeometrySpec, guard: float, y0):
-    """Terminal guard events for the domain conditions.
+def guard_events(spec: GeometrySpec, guard: float, pair, start,
+                 cap: float | None = None, unpack=None) -> list:
+    """Terminal events for the domain rule, v > 0 (|v| > 0 if complex) and den != 0.
 
-    Real families track the signed quantity Phi^2 -+ h relative to its
-    starting side, so that a transversal crossing of the singular set is a
-    sign change the root finder can see (a |.| - guard shape would dip and
-    come back without one). The complex-chart sets have real codimension two;
-    proximity in modulus is the best detectable surrogate there.
+    ``pair(param, y)`` maps a solver state to the chart pair (t, v). Real
+    charts track den signed relative to its side at ``start = (param, y)``,
+    so that a transversal crossing of the singular set is a sign change the
+    root finder can see (a |.| - guard shape would dip and come back without
+    one). The complex sets have real codimension two; proximity in modulus
+    is the best detectable surrogate there. With ``cap`` an escape event
+    stops the run where |value| or |slope| of ``unpack(y) = (value, slope)``
+    reaches it: explicit-form geodesics can reach infinity at finite x, e.g.
+    where a reconstructed solution has a zero.
     """
-    h = spec.h
-    fam = spec.family
-    if fam in REAL_FAMILIES:
-        sign = 1.0 if fam is Family.HYPERBOLIC else -1.0
+    def den(p, y):
+        t, v = pair(p, y)
+        return den_at(spec, t, v)
 
-        def positive(_s, y):
-            return y[1] - guard
+    if isinstance(pair(*start)[1], complex):
+        def positive(p, y):
+            return abs(pair(p, y)[1]) - guard
 
-        side = np.sign(y0[1] ** 2 - sign * eval_jet2(h, y0[0]).value) or 1.0
-
-        def regular(_s, y):
-            return side * (y[1] ** 2 - sign * eval_jet2(h, y[0]).value) - guard
-        events = [positive, regular]
-    elif fam is Family.COMPLEX_SPHERE:
-        def positive(_s, y):
-            return abs(complex(y[2], y[3])) - guard
-
-        def regular(_s, y):
-            X2 = complex(y[2], y[3]) ** 2
-            return abs(X2 - eval_jet2(h, complex(y[0], y[1])).value) - guard
-        events = [positive, regular]
+        def regular(p, y):
+            return abs(den(p, y)) - guard
     else:
-        def positive(_s, y):
-            return abs(complex(y[1], y[3])) - guard
+        side = np.sign(den(*start)) or 1.0
 
-        def regular(_s, y):
-            X2 = complex(y[1], y[3]) ** 2
-            return abs(eval_jet2(h, complex(y[0], y[2])).value - X2) - guard
-        events = [positive, regular]
+        def positive(p, y):
+            return pair(p, y)[1] - guard
+
+        def regular(p, y):
+            return side * den(p, y) - guard
+    events = [positive, regular]
+    if cap is not None:
+        def escape(_p, y):
+            return cap - max(abs(c) for c in unpack(y))
+        events.append(escape)
     for ev in events:
         ev.terminal = True
         ev.direction = -1
@@ -264,23 +268,17 @@ def integrate_geodesic(spec: GeometrySpec, initial: GeodesicState, s_span,
     s0, s1 = float(s_span[0]), float(s_span[1])
     if not s1 > s0:
         raise ValueError("s_span must be increasing")
-    if spec.is_complex_chart:
-        y0 = np.concatenate([_to_real(initial.coords), _to_real(initial.velocity)])
-    else:
-        y0 = np.concatenate([np.asarray(initial.coords, float),
-                             np.asarray(initial.velocity, float)])
-    events = _boundary_events(spec, boundary_guard, y0)
+    pack, unpack = _packing(spec)
+    n = spec.dim
+    y0 = np.concatenate([pack(initial.coords), pack(initial.velocity)])
+    events = guard_events(spec, boundary_guard,
+                          lambda _s, y: chart_pair(spec, unpack(y)[:n]), (s0, y0))
     n_boundary = len(events)
     if stop_at_turning:
-        if spec.is_complex_chart:
-            def turning(_s, y):
-                return abs(complex(y[4], y[5])) - boundary_guard
-        elif spec.family is Family.KAHLER_NORDEN:
-            def turning(_s, y):
-                return abs(complex(y[4], y[6])) - boundary_guard
-        else:
-            def turning(_s, y):
-                return y[2]
+        def turning(_s, y):
+            # velocity of the first chart coordinate (its modulus if complex)
+            vt = chart_pair(spec, unpack(y)[n:])[0]
+            return abs(vt) - boundary_guard if isinstance(vt, complex) else vt
         turning.terminal = True
         turning.direction = 0
         events = events + [turning]
@@ -295,44 +293,38 @@ def integrate_geodesic(spec: GeometrySpec, initial: GeodesicState, s_span,
         termination = Termination.TURNING_POINT
     else:
         termination = Termination.DOMAIN_BOUNDARY
-    ys = sol.y.T
-    if spec.is_complex_chart:
-        coords = np.array([_to_complex(y)[:2] for y in ys])
-        vels = np.array([_to_complex(y)[2:] for y in ys])
-    else:
-        n = spec.dim
-        coords, vels = ys[:, :n], ys[:, n:]
-    return GeodesicTrajectory(spec, sol.t, coords, vels, termination, sol.sol)
+    c = unpack(sol.y)
+    return GeodesicTrajectory(spec, sol.t, c[:n].T, c[n:].T, termination, sol.sol)
 
 
 # --- explicit form ----------------------------------------------------------------
 
+def _explicit_rhs(s: int, h, hp, value, slope):
+    """The right-hand side of :func:`explicit_second` over floats, complex or Jet2.
+
+    An exact zero slope (a number) resolves the v^2 = s h indeterminacy to
+    the last term: constant Riccati-induced curves live on that set.
+    """
+    v2 = value * value
+    tail = signed(s, v2 * v2 - h * h) / value
+    if not isinstance(slope, Jet2) and slope == 0:
+        return tail
+    den = add_signed(v2, -s, h)
+    head = add_signed(3 * v2, s, h) / den * slope * slope / value
+    return add_signed(head, -s, hp * slope / den) + tail
+
+
 def explicit_second(spec: GeometrySpec, point, value, slope):
     """Second derivative prescribed by the explicit-form geodesic equation.
 
-    hyperbolic / complex:
-        v'' = (3v^2+h)/(v^2-h) * v'^2/v - h' v'/(v^2-h) + (v^4-h^2)/v
-    ads (both signs):
-        v'' = (3v^2-h)/(v^2+h) * v'^2/v + h' v'/(v^2+h) - (v^4-h^2)/v
+        v'' = (3v^2 + s h)/(v^2 - s h) * v'^2/v - s h' v'/(v^2 - s h) + s (v^4 - h^2)/v
+
+    with s = +1 (hyperbolic, complex) or -1 (ads, both signs).
     """
+    if spec.dim != 2:
+        raise ValueError("no 2D explicit form for the 4D family; use the complex chart")
     hj = eval_jet2(spec.h, point)
-    h, hp = hj.value, hj.d1
-    v2 = value * value
-    if spec.family in (Family.HYPERBOLIC, Family.COMPLEX_SPHERE):
-        tail = (v2 * v2 - h * h) / value
-        if slope == 0:
-            # exact zero slope: the v^2 = h indeterminacy resolves to the tail
-            # (constant Riccati-induced curves live on that set)
-            return tail
-        den = v2 - h
-        return (3 * v2 + h) / den * slope * slope / value - hp * slope / den + tail
-    if spec.family in (Family.ADS_PLUS, Family.ADS_MINUS):
-        tail = -(v2 * v2 - h * h) / value
-        if slope == 0:
-            return tail
-        den = v2 + h
-        return (3 * v2 - h) / den * slope * slope / value + hp * slope / den + tail
-    raise ValueError("no 2D explicit form for the 4D family; use the complex chart")
+    return _explicit_rhs(spec.facts.sign, hj.value, hj.d1, value, slope)
 
 
 def explicit_second_and_third(spec: GeometrySpec, point, value, slope):
@@ -345,18 +337,15 @@ def explicit_second_and_third(spec: GeometrySpec, point, value, slope):
     """
     second = explicit_second(spec, point, value, slope)
     hj = eval_jet2(spec.h, point)
-    h = Jet2(hj.value, hj.d1, 0.0)
-    hp = Jet2(hj.d1, hj.d2, 0.0)
-    v = Jet2(value, slope, 0.0)
-    w = Jet2(slope, second, 0.0)
-    v2 = v * v
-    if spec.family in (Family.HYPERBOLIC, Family.COMPLEX_SPHERE):
-        den = v2 - h
-        f = (3 * v2 + h) / den * w * w / v - hp * w / den + (v2 * v2 - h * h) / v
-    else:
-        den = v2 + h
-        f = (3 * v2 - h) / den * w * w / v + hp * w / den - (v2 * v2 - h * h) / v
+    f = _explicit_rhs(spec.facts.sign, Jet2(hj.value, hj.d1, 0.0), Jet2(hj.d1, hj.d2, 0.0),
+                      Jet2(value, slope, 0.0), Jet2(slope, second, 0.0))
     return second, f.d1
+
+
+def _seconds_and_thirds(spec: GeometrySpec, points, values, slopes):
+    """Second and third derivatives at every node, as two arrays."""
+    return np.array([explicit_second_and_third(spec, p, v, w)
+                     for p, v, w in zip(points, values, slopes)]).T
 
 
 @dataclass
@@ -417,7 +406,7 @@ class ExplicitGeodesic:
         callables given, slopes come from central differences, so nothing
         assumes the curve satisfies any equation.
         """
-        if spec.family not in (Family.HYPERBOLIC, Family.ADS_PLUS, Family.ADS_MINUS):
+        if spec.dim != 2 or spec.is_complex_chart:
             raise ValueError("from_function builds real-family curves only")
         ts = np.linspace(support[0], support[1], num)
         step = (support[1] - support[0]) / (num - 1) * 1e-3
@@ -434,41 +423,43 @@ class ExplicitGeodesic:
         return cls(spec, complex(support[0]).real, Termination.RANGE_END, curve)
 
 
-def _explicit_events(spec: GeometrySpec, guard: float, cap: float,
-                     start, on_path: ComplexPath | None):
-    h = spec.h
-    if spec.family is Family.COMPLEX_SPHERE:
-        def positive(s, y):
-            return abs(complex(y[0], y[1])) - guard
+def _solve_run(rhs, span, y0, events, tol: float, max_step: float,
+               drop_event_sample: bool = True):
+    """One RK45 run: (nodes, states, whether an event stopped it)."""
+    sol = solve_ivp(rhs, span, y0, method="RK45", rtol=tol, atol=tol * 1e-2,
+                    events=events, max_step=max_step)
+    if sol.status == -1:
+        raise StepSizeUnderflowError(sol.message)
+    if sol.status == 1 and drop_event_sample and len(sol.t) > 2:
+        return sol.t[:-1], sol.y[:, :-1], True
+    return sol.t, sol.y, sol.status == 1
 
-        def regular(s, y):
-            X2 = complex(y[0], y[1]) ** 2
-            return abs(X2 - eval_jet2(h, on_path.point(s)).value) - guard
 
-        def escape(s, y):
-            return cap - max(abs(complex(y[0], y[1])), abs(complex(y[2], y[3])))
-    else:
-        sign = 1.0 if spec.family is Family.HYPERBOLIC else -1.0
-        x0, value0 = start
-        # signed relative to the starting side, so crossings change sign
-        side = np.sign(value0 ** 2 - sign * eval_jet2(h, x0).value) or 1.0
+def solve_from_inside(rhs, x0, y0, support, events, tol: float, max_step: float,
+                      drop_event_sample: bool):
+    """Solve from ``x0`` toward each end of ``support`` and merge the two runs.
 
-        def positive(x, y):
-            return y[0] - guard
-
-        def regular(x, y):
-            return side * (y[0] ** 2 - sign * eval_jet2(h, x).value) - guard
-
-        def escape(x, y):
-            return cap - max(abs(y[0]), abs(y[1]))
-    # explicit-form geodesics can reach value (or slope) = infinity at finite
-    # x, e.g. where a reconstructed solution has a zero; the cap stops them
-    # deterministically
-    events = [positive, regular, escape]
-    for ev in events:
-        ev.terminal = True
-        ev.direction = -1
-    return events
+    Returns the increasing nodes, the states (one row per component) and
+    whether an event stopped a run. With ``drop_event_sample`` such a run
+    ends on its last full-accuracy node: the located event sample comes from
+    the solver's one-order-lower dense interpolant.
+    """
+    runs = []
+    hit_event = False
+    for target in support:
+        if target == x0:
+            continue
+        ts, ys, stopped = _solve_run(rhs, (x0, target), y0, events, tol, max_step,
+                                     drop_event_sample)
+        hit_event = hit_event or stopped
+        order = np.argsort(ts)
+        runs.append((ts[order], ys[:, order]))
+    if len(runs) == 2:
+        # both runs start at x0: keep it once
+        (xa, ya), (xb, yb) = runs
+        return (np.concatenate([xa[:-1], xb]), np.concatenate([ya[:, :-1], yb], axis=1),
+                hit_event)
+    return runs[0][0], runs[0][1], hit_event
 
 
 def integrate_explicit(spec: GeometrySpec, x0, value0, slope0, support=None,
@@ -488,9 +479,9 @@ def integrate_explicit(spec: GeometrySpec, x0, value0, slope0, support=None,
     geodesics blow up at finite x exactly where a reconstructed solution
     vanishes, so the cap is a chart boundary, not an error).
     """
-    if spec.family is Family.KAHLER_NORDEN:
+    if spec.dim != 2:
         raise ValueError("use the complex chart for the 4D family")
-    if spec.family is Family.COMPLEX_SPHERE:
+    if spec.is_complex_chart:
         if path is None:
             raise ValueError("complex-family explicit integration needs a path")
         if abs(path.start - complex(x0)) > 1e-12:
@@ -513,51 +504,22 @@ def integrate_explicit(spec: GeometrySpec, x0, value0, slope0, support=None,
     def rhs(x, y):
         return [y[1], explicit_second(spec, x, y[0], y[1])]
 
-    events = _explicit_events(spec, boundary_guard, value_cap,
-                              (x0, float(value0)), None)
-    runs = []
-    hit_boundary = False
-    for target in (a, b):
-        if target == x0:
-            continue
-        sol = solve_ivp(rhs, (x0, target), [float(value0), float(slope0)],
-                        method="RK45", rtol=tol, atol=tol * 1e-2,
-                        dense_output=False, events=events, max_step=max_step)
-        if sol.status == -1:
-            raise StepSizeUnderflowError(sol.message)
-        ts, ys = sol.t, sol.y
-        if sol.status == 1:
-            hit_boundary = True
-            if len(ts) > 2:
-                # the located event sample comes from the one-order-lower
-                # dense interpolant; end the support on full-accuracy nodes
-                ts, ys = ts[:-1], ys[:, :-1]
-        runs.append((ts, ys))
-    xs_parts, val_parts, slo_parts = [], [], []
-    for ts, ys in runs:
-        order = np.argsort(ts)
-        xs_parts.append(ts[order])
-        val_parts.append(ys[0][order])
-        slo_parts.append(ys[1][order])
-    if len(runs) == 2:
-        xs = np.concatenate([xs_parts[0][:-1], xs_parts[1]])
-        vals = np.concatenate([val_parts[0][:-1], val_parts[1]])
-        slopes = np.concatenate([slo_parts[0][:-1], slo_parts[1]])
-    else:
-        xs, vals, slopes = xs_parts[0], val_parts[0], slo_parts[0]
-    pairs = [explicit_second_and_third(spec, x, v, w)
-             for x, v, w in zip(xs, vals, slopes)]
-    seconds = np.array([p[0] for p in pairs])
-    thirds = np.array([p[1] for p in pairs])
+    y0 = [float(value0), float(slope0)]
+    events = guard_events(spec, boundary_guard, lambda x, y: (x, y[0]), (x0, y0),
+                          value_cap, lambda y: y)
+    xs, (vals, slopes), hit_boundary = solve_from_inside(
+        rhs, x0, y0, (a, b), events, tol, max_step, drop_event_sample=True)
+    seconds, thirds = _seconds_and_thirds(spec, xs, vals, slopes)
     curve = CurveDense(xs, [vals, slopes, seconds, thirds])
     termination = Termination.DOMAIN_BOUNDARY if hit_boundary else Termination.RANGE_END
     return ExplicitGeodesic(spec, x0, termination, curve)
 
 
 def _integrate_explicit_path(spec, value0, slope0, path, tol, guard, cap, max_step):
-    events = _explicit_events(spec, guard, cap, None, path)
-    pieces_v, pieces_w = [], []
     state = np.array([value0, slope0], dtype=complex)
+    events = guard_events(spec, guard, lambda s, y: (path.point(s), complex(y[0], y[1])),
+                          (0.0, _to_real(state)), cap, _to_complex)
+    pieces_v, pieces_w = [], []
     hit_boundary = False
     for s_lo, s_hi in path.segments():
         vel = path.velocity(0.5 * (s_lo + s_hi))
@@ -570,26 +532,13 @@ def _integrate_explicit_path(spec, value0, slope0, path, tol, guard, cap, max_st
             return _to_real(np.array([dX, dW]))
 
         step = max_step if max_step is not None else (s_hi - s_lo) / 32.0
-        sol = solve_ivp(rhs, (s_lo, s_hi), _to_real(state), method="RK45",
-                        rtol=tol, atol=tol * 1e-2, events=events, max_step=step)
-        if sol.status == -1:
-            raise StepSizeUnderflowError(sol.message)
-        ss = sol.t
-        ys = sol.y
-        if sol.status == 1 and len(ss) > 2:
-            # drop the dense-interpolated event sample (see the real case)
-            ss, ys = ss[:-1], ys[:, :-1]
-        # rows of ys are packed (Re X, Im X, Re W, Im W)
-        Xs = ys[0] + 1j * ys[1]
-        Ws = ys[2] + 1j * ys[3]
+        ss, ys, stopped = _solve_run(rhs, (s_lo, s_hi), _to_real(state), events, tol, step)
+        Xs, Ws = _to_complex(ys)
         if len(ss) >= 2:
-            pairs = [explicit_second_and_third(spec, path.point(s), X, W)
-                     for s, X, W in zip(ss, Xs, Ws)]
-            sec = np.array([p[0] for p in pairs])
-            thr = np.array([p[1] for p in pairs])
+            sec, thr = _seconds_and_thirds(spec, (path.point(s) for s in ss), Xs, Ws)
             pieces_v.append(CurveDense(ss, [Xs, Ws * vel, sec * vel ** 2, thr * vel ** 3]))
             pieces_w.append(CurveDense(ss, [Ws, sec * vel, thr * vel ** 2]))
-        if sol.status == 1:
+        if stopped:
             hit_boundary = True
             break
         state = np.array([Xs[-1], Ws[-1]])
@@ -601,6 +550,23 @@ def _integrate_explicit_path(spec, value0, slope0, path, tol, guard, cap, max_st
     return ExplicitGeodesic(spec, path.start, termination, values, path, zslopes)
 
 
+def _before_turning(vt: np.ndarray, turning_cut: float) -> int:
+    """Samples before the first turning point: the first coordinate's velocity
+    ``vt`` falls to ``turning_cut`` of its largest modulus or, if real, changes sign."""
+    scale = float(np.max(np.abs(vt))) or 1.0
+    if abs(vt[0]) <= turning_cut * scale:
+        raise TurningPointAtStartError("first coordinate velocity vanishes at s=0")
+    real = np.isrealobj(vt)
+    keep = len(vt)
+    for i in range(1, len(vt)):
+        if (real and np.sign(vt[i]) != np.sign(vt[0])) or abs(vt[i]) <= turning_cut * scale:
+            keep = i
+            break
+    if keep < 2:
+        raise TurningPointAtStartError("turning point immediately after start")
+    return keep
+
+
 def explicit_from_trajectory(traj: GeodesicTrajectory,
                              turning_cut: float = 1e-8) -> ExplicitGeodesic:
     """Re-express an affine trajectory as a function of its first coordinate.
@@ -610,30 +576,24 @@ def explicit_from_trajectory(traj: GeodesicTrajectory,
     TURNING_POINT.
     """
     spec = traj.spec
-    if spec.family is Family.KAHLER_NORDEN:
+    if spec.dim != 2:
         raise ValueError("use the complex chart for the 4D family")
     if spec.is_complex_chart:
-        return _explicit_from_complex_trajectory(traj, turning_cut)
+        acc = accelerations(spec, traj.coords, traj.velocities)
+        return path_explicit_from_samples(
+            spec, traj.s, traj.coords[:, 0], traj.coords[:, 1],
+            traj.velocities[:, 0], traj.velocities[:, 1], acc[:, 0], acc[:, 1],
+            lambda s: traj.state_at(s)[0][0], lambda s: traj.state_at(s)[1][0],
+            traj.termination, turning_cut)
     vx = traj.velocities[:, 0]
-    scale = float(np.max(np.abs(vx))) or 1.0
-    if abs(vx[0]) <= turning_cut * scale:
-        raise TurningPointAtStartError("first coordinate velocity vanishes at s=0")
-    keep = len(vx)
-    for i in range(1, len(vx)):
-        if np.sign(vx[i]) != np.sign(vx[0]) or abs(vx[i]) <= turning_cut * scale:
-            keep = i
-            break
+    keep = _before_turning(vx, turning_cut)
     truncated = keep < len(vx)
     xs = traj.coords[:keep, 0]
     vals = traj.coords[:keep, 1]
-    if keep < 2:
-        raise TurningPointAtStartError("turning point immediately after start")
     slopes = traj.velocities[:keep, 1] / vx[:keep]
-    seconds = np.empty(keep)
-    for i in range(keep):
-        gam = christoffel_table(spec, traj.coords[i])
-        acc = -np.einsum("ijk,j,k->i", gam, traj.velocities[i], traj.velocities[i])
-        seconds[i] = (acc[1] * vx[i] - traj.velocities[i, 1] * acc[0]) / vx[i] ** 3
+    acc = accelerations(spec, traj.coords[:keep], traj.velocities[:keep])
+    seconds = np.array([(a[1] * u - w * a[0]) / u ** 3
+                        for a, u, w in zip(acc, vx, traj.velocities[:keep, 1])])
     if vx[0] < 0:
         xs, vals, slopes, seconds = xs[::-1], vals[::-1], slopes[::-1], seconds[::-1]
     curve = CurveDense(xs, [vals, slopes, seconds])
@@ -650,16 +610,7 @@ def path_explicit_from_samples(spec, s_nodes, zs, Xs, vzs, vXs, azs, aXs,
     raw parameter; samples past the first |dz/ds| ~ 0 are dropped. Shared by
     the complex-chart and 4D-chart trajectory conversions.
     """
-    scale = float(np.max(np.abs(vzs))) or 1.0
-    if abs(vzs[0]) <= turning_cut * scale:
-        raise TurningPointAtStartError("dz/ds vanishes at s=0")
-    keep = len(vzs)
-    for i in range(1, len(vzs)):
-        if abs(vzs[i]) <= turning_cut * scale:
-            keep = i
-            break
-    if keep < 2:
-        raise TurningPointAtStartError("turning point immediately after start")
+    keep = _before_turning(np.asarray(vzs, dtype=complex), turning_cut)
     truncated = keep < len(vzs)
     s_lo, s_hi = s_nodes[0], s_nodes[keep - 1]
     span = s_hi - s_lo
@@ -676,27 +627,6 @@ def path_explicit_from_samples(spec, s_nodes, zs, Xs, vzs, vXs, azs, aXs,
     return ExplicitGeodesic(spec, zs[0], termination, values, path, zslopes)
 
 
-def _explicit_from_complex_trajectory(traj, turning_cut):
-    spec = traj.spec
-    azs = np.empty(len(traj.s), dtype=complex)
-    aXs = np.empty(len(traj.s), dtype=complex)
-    for i in range(len(traj.s)):
-        gam = christoffel_table(spec, traj.coords[i])
-        acc = -np.einsum("ijk,j,k->i", gam, traj.velocities[i], traj.velocities[i])
-        azs[i], aXs[i] = acc[0], acc[1]
-
-    def point_at(s):
-        return traj.state_at(s)[0][0]
-
-    def velocity_at(s):
-        return traj.state_at(s)[1][0]
-
-    return path_explicit_from_samples(
-        spec, traj.s, traj.coords[:, 0], traj.coords[:, 1],
-        traj.velocities[:, 0], traj.velocities[:, 1], azs, aXs,
-        point_at, velocity_at, traj.termination, turning_cut)
-
-
 def geodesic_residual(spec: GeometrySpec, g: ExplicitGeodesic, t):
     """Defect of the explicit-form geodesic equation at parameter ``t``.
 
@@ -708,11 +638,15 @@ def geodesic_residual(spec: GeometrySpec, g: ExplicitGeodesic, t):
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr < lo - 1e-12) or np.any(t_arr > hi + 1e-12):
         raise OutsideSupportError(f"{t} outside support [{lo}, {hi}]")
-    vals = np.atleast_1d(g.value(t_arr))
-    slopes = np.atleast_1d(g.slope(t_arr))
-    secs = np.atleast_1d(g.second(t_arr))
-    out = np.array([
-        secs[i] - explicit_second(spec, g.point(float(ti)), vals[i], slopes[i])
-        for i, ti in enumerate(t_arr)
-    ])
+    secs, prescribed = sampled_and_prescribed(spec, g, t_arr)
+    out = secs - prescribed
     return out[0] if np.ndim(t) == 0 else out
+
+
+def sampled_and_prescribed(spec: GeometrySpec, g: ExplicitGeodesic, ts: np.ndarray):
+    """The curve's own second derivative at ``ts`` and the one the equation prescribes."""
+    vals = np.atleast_1d(g.value(ts))
+    slopes = np.atleast_1d(g.slope(ts))
+    prescribed = np.array([explicit_second(spec, p, v, w)
+                           for p, v, w in zip(g.point(ts), vals, slopes)])
+    return np.atleast_1d(g.second(ts)), prescribed

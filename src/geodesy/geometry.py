@@ -11,7 +11,18 @@ complex         coords (z, X) complex, X != 0, X^2 != h(z), h holomorphic
 kn              coords (x, Phi, y, Psi) real 4D; the real part of G under
                 z = x + iy, X = Phi + i Psi (scaling constant alpha = 1)
 
-Christoffel symbols come either from the closed-form tables of each family or
+On a 2D chart (t, v) the families differ only by the sign s (+1 hyperbolic
+and complex, -1 ads) in den = h - s v^2, the signature signs (e0, e1) and a
+real or complex chart, all stated once in FAMILY_FACTS: g = diag(e0 den^2,
+e1) / v^2; the domain is |den| > 0 and v > 0 (|v| > 0 if complex); Gamma^t_tt
+= h'/den, Gamma^t_tv = -(h + s v^2)/(v den), Gamma^v_tt = s (h^2 - v^4)/v,
+Gamma^v_vv = -1/v. The explicit-form equation and the Theta pair follow
+from s, with the unit -1 (s = +1) or +i (s = -1) on the root in Theta_top.
+kn has the complex family's domain and symbols at z = x + iy, X = Phi + i Psi
+and its own 4D metric. signed and add_signed apply s by choosing x or -x: a
+float +-1 factor would flip signed zeros of complex numbers.
+
+Christoffel symbols come either from the closed-form table above or
 generically from order-2 jets of the metric components; the two routes serve
 as mutual oracles. Curvature is always computed from jets.
 
@@ -26,11 +37,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
 
-from .errors import OutOfDomainError, SingularMetricError
+from .errors import DomainError, OutOfDomainError, SingularMetricError
 from .expr import Expression, Jet2, eval_jet2
 from .jets import Taylor2, compose_jet
 
@@ -48,40 +60,53 @@ class Family(enum.Enum):
     @staticmethod
     def from_name(name: str) -> "Family":
         key = name.strip().lower().replace("_", "-")
-        aliases = {
-            "hyperbolic": Family.HYPERBOLIC,
-            "ads": Family.ADS_PLUS,
-            "ads+": Family.ADS_PLUS,
-            "ads-plus": Family.ADS_PLUS,
-            "ads-": Family.ADS_MINUS,
-            "ads-minus": Family.ADS_MINUS,
-            "complex": Family.COMPLEX_SPHERE,
-            "complex-sphere": Family.COMPLEX_SPHERE,
-            "kn": Family.KAHLER_NORDEN,
-            "kahler-norden": Family.KAHLER_NORDEN,
-        }
-        if key not in aliases:
-            raise ValueError(f"unknown family {name!r}")
-        return aliases[key]
+        aliases = {"ads": "ads+", "ads-plus": "ads+", "ads-minus": "ads-",
+                   "complex-sphere": "complex", "kahler-norden": "kn"}
+        try:
+            return Family(aliases.get(key, key))
+        except ValueError:
+            raise ValueError(f"unknown family {name!r}") from None
 
 
-REAL_FAMILIES = (Family.HYPERBOLIC, Family.ADS_PLUS, Family.ADS_MINUS)
+@dataclass(frozen=True)
+class FamilyFacts:
+    """Everything that tells one family from another."""
 
-_COORD_NAMES = {
-    Family.HYPERBOLIC: ("x", "Phi"),
-    Family.ADS_PLUS: ("x", "Psi"),
-    Family.ADS_MINUS: ("x", "Psi"),
-    Family.COMPLEX_SPHERE: ("z", "X"),
-    Family.KAHLER_NORDEN: ("x", "Phi", "y", "Psi"),
+    sign: int  # s in den = h - s*v^2
+    complex_chart: bool
+    h_mode: str  # parse mode of h
+    coord_names: tuple[str, ...]
+    signature: tuple[int, ...]  # signs of the diagonal metric terms
+    expected: float  # sectional K (2D) or Einstein eta in Ric = eta*g (kn)
+    theta_unit: complex | None  # factor of the root in Theta_top (bot: its negative)
+
+    @property
+    def signature_text(self) -> str:
+        if self.complex_chart:
+            return "holomorphic"
+        return "(" + ",".join("+" if e > 0 else "-" for e in self.signature) + ")"
+
+
+FAMILY_FACTS = {
+    Family.HYPERBOLIC: FamilyFacts(1, False, "real", ("x", "Phi"), (1, 1), -1.0, -1.0),
+    Family.ADS_PLUS: FamilyFacts(-1, False, "real", ("x", "Psi"), (-1, 1), -1.0, 1j),
+    Family.ADS_MINUS: FamilyFacts(-1, False, "real", ("x", "Psi"), (1, -1), 1.0, 1j),
+    Family.COMPLEX_SPHERE: FamilyFacts(1, True, "complex", ("z", "X"), (1, 1), -1.0, -1.0),
+    Family.KAHLER_NORDEN: FamilyFacts(1, False, "complex", ("x", "Phi", "y", "Psi"),
+                                      (-1, -1, 1, 1), -2.0, None),
 }
 
-_SIGNATURES = {
-    Family.HYPERBOLIC: "(+,+)",
-    Family.ADS_PLUS: "(-,+)",
-    Family.ADS_MINUS: "(+,-)",
-    Family.COMPLEX_SPHERE: "holomorphic",
-    Family.KAHLER_NORDEN: "(-,-,+,+)",
-}
+REAL_FAMILIES = tuple(f for f in Family if FAMILY_FACTS[f].h_mode == "real")
+
+
+def signed(s: int, x):
+    """s*x for s = +-1, by choosing x or -x."""
+    return x if s > 0 else -x
+
+
+def add_signed(a, s: int, b):
+    """a + s*b for s = +-1, by choosing + or -."""
+    return a + b if s > 0 else a - b
 
 
 @dataclass(frozen=True)
@@ -92,23 +117,27 @@ class GeometrySpec:
     h: Expression
 
     def __post_init__(self):
-        needs = "real" if self.family in REAL_FAMILIES else "complex"
+        needs = self.facts.h_mode
         if self.h.mode != needs:
             raise ValueError(
                 f"{self.family.value} requires an h parsed in {needs} mode, "
                 f"got {self.h.mode}")
 
+    @cached_property
+    def facts(self) -> FamilyFacts:
+        return FAMILY_FACTS[self.family]
+
     @property
     def dim(self) -> int:
-        return 4 if self.family is Family.KAHLER_NORDEN else 2
+        return len(self.facts.coord_names)
 
     @property
     def is_complex_chart(self) -> bool:
-        return self.family is Family.COMPLEX_SPHERE
+        return self.facts.complex_chart
 
     @property
     def coord_names(self) -> tuple[str, ...]:
-        return _COORD_NAMES[self.family]
+        return self.facts.coord_names
 
 
 @dataclass(frozen=True)
@@ -139,33 +168,41 @@ class CurvatureReport:
 
 # --- domain sets --------------------------------------------------------------
 
+def chart_pair(spec: GeometrySpec, coords):
+    """(t, v): the point where h is evaluated and the fibre coordinate.
+
+    Real charts give floats, the complex chart complex numbers, and the kn
+    chart the complex pair z = x + iy, X = Phi + i Psi.
+    """
+    if spec.dim == 4:
+        x, phi, y, psi = (float(c) for c in coords)
+        return complex(x, y), complex(phi, psi)
+    cast = complex if spec.is_complex_chart else float
+    return cast(coords[0]), cast(coords[1])
+
+
+def den_at(spec: GeometrySpec, t, v):
+    """den = h(t) - s*v^2; the singular set of the chart is den = 0."""
+    return add_signed(eval_jet2(spec.h, t).value, -spec.facts.sign, v * v)
+
+
 def domain_violation(spec: GeometrySpec, coords, guard: float = EPS_DOM) -> str | None:
     """Name of the violated domain condition, or None if ``coords`` is interior."""
-    if spec.family in (Family.HYPERBOLIC, Family.ADS_PLUS, Family.ADS_MINUS):
-        x, p = coords
-        h = eval_jet2(spec.h, float(x)).value
-        if not p > guard:
-            return f"{spec.coord_names[1]} > 0"
-        if spec.family is Family.HYPERBOLIC and abs(p * p - h) <= guard:
-            return "Phi^2 != h(x)"
-        if spec.family is not Family.HYPERBOLIC and abs(p * p + h) <= guard:
-            return "Psi^2 != -h(x)"
-        return None
-    if spec.family is Family.COMPLEX_SPHERE:
-        z, X = coords
-        h = eval_jet2(spec.h, complex(z)).value
-        if abs(X) <= guard:
-            return "X != 0"
-        if abs(X * X - h) <= guard:
-            return "X^2 != h(z)"
-        return None
-    x, phi, y, psi = coords
-    h = eval_jet2(spec.h, complex(x, y)).value
-    X = complex(phi, psi)
-    if abs(X) <= guard:
-        return "Phi + i*Psi != 0"
-    if abs(h - X * X) <= guard:
-        return "h(x,y) != (Phi + i*Psi)^2"
+    t, v = chart_pair(spec, coords)
+    den = den_at(spec, t, v)
+    names = spec.coord_names
+    if spec.dim == 4:
+        t_name, v_name = f"{names[0]} + i*{names[2]}", f"{names[1]} + i*{names[3]}"
+    else:
+        t_name, v_name = names
+    if isinstance(v, complex):
+        if not abs(v) > guard:
+            return f"{v_name} != 0"
+    elif not v > guard:
+        return f"{v_name} > 0"
+    if abs(den) <= guard:
+        square = f"({v_name})^2" if spec.dim == 4 else f"{v_name}^2"
+        return f"{square} != {'-' if spec.facts.sign < 0 else ''}h({t_name})"
     return None
 
 
@@ -180,35 +217,17 @@ def require_in_domain(spec: GeometrySpec, coords, guard: float = EPS_DOM) -> Non
 
 def _metric_taylor(spec: GeometrySpec, coords) -> np.ndarray:
     """(n, n) object array of Taylor2 metric components at ``coords``."""
-    fam = spec.family
-    if fam in (Family.HYPERBOLIC, Family.ADS_PLUS, Family.ADS_MINUS):
-        x, p = float(coords[0]), float(coords[1])
-        xt = Taylor2.coordinate(x, 0, 2)
-        pt = Taylor2.coordinate(p, 1, 2)
-        ht = compose_jet(eval_jet2(spec.h, x), xt)
-        p2 = pt * pt
-        if fam is Family.HYPERBOLIC:
-            d = ht - p2
-            g00 = d * d / p2
-            g11 = 1.0 / p2
-        else:
-            d = ht + p2
-            g00 = -(d * d) / p2
-            g11 = 1.0 / p2
-            if fam is Family.ADS_MINUS:
-                g00, g11 = -g00, -g11
-        zero = Taylor2.constant(0.0, 2)
-        return np.array([[g00, zero], [zero, g11]], dtype=object)
-    if fam is Family.COMPLEX_SPHERE:
-        z, X = complex(coords[0]), complex(coords[1])
-        zt = Taylor2.coordinate(z, 0, 2, np.complex128)
-        Xt = Taylor2.coordinate(X, 1, 2, np.complex128)
-        ht = compose_jet(eval_jet2(spec.h, z), zt)
-        X2 = Xt * Xt
-        d = ht - X2
-        g00 = d * d / X2
-        g11 = 1.0 / X2
-        zero = Taylor2.constant(0.0, 2, np.complex128)
+    if spec.dim == 2:
+        dtype = np.complex128 if spec.is_complex_chart else np.float64
+        t, v = chart_pair(spec, coords)
+        tt = Taylor2.coordinate(t, 0, 2, dtype)
+        vt = Taylor2.coordinate(v, 1, 2, dtype)
+        v2 = vt * vt
+        den = add_signed(compose_jet(eval_jet2(spec.h, t), tt), -spec.facts.sign, v2)
+        e0, e1 = spec.facts.signature
+        g00 = signed(e0, den * den) / v2
+        g11 = signed(e1, 1.0) / v2
+        zero = Taylor2.constant(0.0, 2, dtype)
         return np.array([[g00, zero], [zero, g11]], dtype=object)
     # Kähler-Norden: explicit 4D components in terms of h_Re, h_Im, Delta+-
     x, phi, y, psi = (float(c) for c in coords)
@@ -226,18 +245,13 @@ def _metric_taylor(spec: GeometrySpec, coords) -> np.ndarray:
     b = -2.0 * (pt * h_im - st * (d_plus + h_re)) * (st * h_im - pt * (d_plus - h_re)) / dp2
     g_pp = d_minus / dp2
     g_ps = 2.0 * pt * st / dp2
-    zero = Taylor2.constant(0.0, 4, np.complex128)
-    g = np.full((4, 4), zero, dtype=object)
+    g = np.full((4, 4), Taylor2.constant(0.0, 4), dtype=object)
     g[0, 0] = a.real()
     g[2, 2] = (-a).real()
     g[0, 2] = g[2, 0] = b.real()
     g[1, 1] = g_pp.real()
     g[3, 3] = (-g_pp).real()
     g[1, 3] = g[3, 1] = g_ps.real()
-    zero_r = Taylor2.constant(0.0, 4)
-    for i, j in product(range(4), repeat=2):
-        if g[i, j] is zero:
-            g[i, j] = zero_r
     return g
 
 
@@ -246,36 +260,25 @@ def metric_at(spec: GeometrySpec, coords) -> MetricValue:
     require_in_domain(spec, coords)
     gt = _metric_taylor(spec, coords)
     n = spec.dim
-    dtype = np.complex128 if spec.is_complex_chart else np.float64
-    comp = np.array([[gt[i, j].value for j in range(n)] for i in range(n)], dtype=dtype)
-    return MetricValue(comp, _SIGNATURES[spec.family])
+    comp = np.array([[gt[i, j].value for j in range(n)] for i in range(n)])
+    return MetricValue(comp, spec.facts.signature_text)
 
 
 # --- Christoffel symbols --------------------------------------------------------
 
-def _complex_table(h: Jet2, X: complex) -> np.ndarray:
-    """Closed-form holomorphic symbols shared by the 2D families.
+def _symbol_table(s: int, h: Jet2, v) -> np.ndarray:
+    """Closed-form Gamma^i_jk of a 2D chart (t, v) (module docstring), complex if v is.
 
-    Upsilon^z_zz = h'/(h - X^2),  Upsilon^z_zX = (X^2 + h)/(X (X^2 - h)),
-    Upsilon^X_zz = (h^2 - X^4)/X, Upsilon^X_XX = -1/X.
+    The two ads signs share them: their metrics differ by a constant factor.
     """
-    den = h.value - X * X
-    ups = np.zeros((2, 2, 2), dtype=np.complex128)
-    ups[0, 0, 0] = h.d1 / den
-    ups[0, 0, 1] = ups[0, 1, 0] = (X * X + h.value) / (X * (X * X - h.value))
-    ups[1, 0, 0] = (h.value * h.value - X ** 4) / X
-    ups[1, 1, 1] = -1.0 / X
-    return ups
-
-
-def _ads_table(h: Jet2, psi: float) -> np.ndarray:
-    den = h.value + psi * psi
-    g = np.zeros((2, 2, 2))
-    g[0, 0, 0] = h.d1 / den
-    g[0, 0, 1] = g[0, 1, 0] = (psi * psi - h.value) / (psi * den)
-    g[1, 0, 0] = (psi ** 4 - h.value ** 2) / psi
-    g[1, 1, 1] = -1.0 / psi
-    return g
+    v2 = v * v
+    gam = np.zeros((2, 2, 2), dtype=complex if isinstance(v, complex) else float)
+    gam[0, 0, 0] = h.d1 / add_signed(h.value, -s, v2)
+    # -(h + s v^2)/(v den), written as (v^2 + s h)/(v (v^2 - s h))
+    gam[0, 0, 1] = gam[0, 1, 0] = add_signed(v2, s, h.value) / (v * add_signed(v2, -s, h.value))
+    gam[1, 0, 0] = signed(s, h.value * h.value - v ** 4) / v
+    gam[1, 1, 1] = -1.0 / v
+    return gam
 
 
 def complexify_christoffel(ups: np.ndarray) -> np.ndarray:
@@ -309,22 +312,12 @@ def christoffel_table(spec: GeometrySpec, coords) -> np.ndarray:
     """Closed-form Gamma^i_{jk} as a bare array, without domain validation.
 
     Integrator right-hand sides call this on every step; boundary handling is
-    the event machinery's job there, so no checks are repeated here.
+    the event machinery's job there, so no checks are repeated here. The kn
+    symbols are the complexification of the holomorphic ones.
     """
-    fam = spec.family
-    if fam is Family.HYPERBOLIC:
-        x, p = float(coords[0]), float(coords[1])
-        return _complex_table(eval_jet2(spec.h, x), p).real
-    if fam in (Family.ADS_PLUS, Family.ADS_MINUS):
-        # ads+ and ads- metrics differ by a constant factor, so they share symbols
-        x, p = float(coords[0]), float(coords[1])
-        return _ads_table(eval_jet2(spec.h, x), p)
-    if fam is Family.COMPLEX_SPHERE:
-        z, X = complex(coords[0]), complex(coords[1])
-        return _complex_table(eval_jet2(spec.h, z), X)
-    x, phi, y, psi = (float(c) for c in coords)
-    ups = _complex_table(eval_jet2(spec.h, complex(x, y)), complex(phi, psi))
-    return complexify_christoffel(ups)
+    t, v = chart_pair(spec, coords)
+    gam = _symbol_table(spec.facts.sign, eval_jet2(spec.h, t), v)
+    return complexify_christoffel(gam) if spec.dim == 4 else gam
 
 
 def _grad_arrays(gt: np.ndarray):
@@ -377,8 +370,6 @@ def christoffel_at(spec: GeometrySpec, coords, method: str = "closed_form") -> C
         return ChristoffelValue(christoffel_table(spec, coords), spec.coord_names)
     if method == "from_jets":
         _, _, gamma, _ = _christoffel_from_jets(_metric_taylor(spec, coords))
-        if not spec.is_complex_chart:
-            gamma = gamma.real
         return ChristoffelValue(gamma, spec.coord_names)
     raise ValueError(f"unknown method {method!r}")
 
@@ -392,6 +383,13 @@ def _riemann(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
             - np.einsum("iml,mjk->ijkl", gamma, gamma))
 
 
+def _riemann_at(spec: GeometrySpec, coords):
+    """(g, g^-1, R^i_jkl) at a domain point, from jets of the metric."""
+    require_in_domain(spec, coords)
+    g0, ginv, gamma, dgamma = _christoffel_from_jets(_metric_taylor(spec, coords))
+    return g0, ginv, _riemann(gamma, dgamma)
+
+
 def curvature_at(spec: GeometrySpec, coords) -> CurvatureReport:
     """Curvature quantities from jet-differentiated Christoffel symbols.
 
@@ -400,16 +398,12 @@ def curvature_at(spec: GeometrySpec, coords) -> CurvatureReport:
     the 4D family reports the least-squares Einstein constant with its fit
     residual instead.
     """
-    require_in_domain(spec, coords)
-    g0, ginv, gamma, dgamma = _christoffel_from_jets(_metric_taylor(spec, coords))
-    riem = _riemann(gamma, dgamma)
+    g0, ginv, riem = _riemann_at(spec, coords)
     ricci = np.einsum("kjkl->jl", riem)
     scalar = np.einsum("jl,jl->", ginv, ricci)
     if spec.dim == 2:
         r_low = np.einsum("im,mjkl->ijkl", g0, riem)
         k = r_low[0, 1, 0, 1] / (g0[0, 0] * g0[1, 1] - g0[0, 1] * g0[1, 0])
-        if not spec.is_complex_chart:
-            k, ricci, scalar = k.real, ricci.real, scalar.real
         return CurvatureReport(tuple(coords), ricci, scalar, sectional_k=k)
     ricci, scalar, g0 = ricci.real, scalar.real, g0.real
     iu = np.triu_indices(4)
@@ -421,9 +415,7 @@ def curvature_at(spec: GeometrySpec, coords) -> CurvatureReport:
 
 def plane_sectional_curvature(spec: GeometrySpec, coords, u, v) -> float:
     """Sectional curvature of the plane spanned by tangent vectors u, v."""
-    require_in_domain(spec, coords)
-    g0, _, gamma, dgamma = _christoffel_from_jets(_metric_taylor(spec, coords))
-    riem = _riemann(gamma, dgamma)
+    g0, _, riem = _riemann_at(spec, coords)
     r_low = np.einsum("im,mjkl->ijkl", g0, riem)
     u = np.asarray(u, dtype=g0.dtype)
     v = np.asarray(v, dtype=g0.dtype)
@@ -434,45 +426,47 @@ def plane_sectional_curvature(spec: GeometrySpec, coords, u, v) -> float:
     den = guu * gvv - guv * guv
     if abs(den) < 1e-12:
         raise ValueError("degenerate (null) plane")
-    out = num / den
-    return out.real if not spec.is_complex_chart else out
+    return num / den
 
 
 # --- sampling -------------------------------------------------------------------
+
+def _draw(spec: GeometrySpec, rng: np.random.Generator) -> tuple:
+    """One uniform chart point from the family's sampling box."""
+    if spec.dim == 4:
+        x, y = rng.uniform(-1.0, 1.0, size=2)
+        phi, psi = rng.uniform(-1.5, 1.5, size=2)
+        return x, phi, y, psi
+    if spec.is_complex_chart:
+        z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        return z, complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+    return rng.uniform(-2.0, 2.0), rng.uniform(0.2, 3.0)
+
 
 def sample_domain_points(spec: GeometrySpec, rng: np.random.Generator, count: int,
                          margin: float = 0.05) -> np.ndarray:
     """Random chart points, rejection-sampled away from the singular sets.
 
-    ``margin`` keeps |Phi^2 - h| (and analogues) bounded below so curvature
-    checks run on well-conditioned points.
+    ``margin`` keeps |den| bounded below so curvature checks run on
+    well-conditioned points; complex pairs also keep |v| > 0.3 (real charts
+    draw v >= 0.2). A draw where h is undefined (log(x) at x <= 0) is
+    rejected like any other: every draw takes the same random numbers, so a
+    rejection shifts no later draw.
     """
-    fam = spec.family
     pts = []
     attempts = 0
     while len(pts) < count:
         attempts += 1
         if attempts > 200 * (count + 10):
-            raise RuntimeError("rejection sampling failed; domain too thin?")
-        if fam in REAL_FAMILIES:
-            x = rng.uniform(-2.0, 2.0)
-            p = rng.uniform(0.2, 3.0)
-            h = eval_jet2(spec.h, x).value
-            cond = abs(p * p - h) if fam is Family.HYPERBOLIC else abs(p * p + h)
-            if cond > margin:
-                pts.append((x, p))
-        elif fam is Family.COMPLEX_SPHERE:
-            z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-            X = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-            h = eval_jet2(spec.h, z).value
-            if abs(X) > 0.3 and abs(X * X - h) > margin:
-                pts.append((z, X))
-        else:
-            x, y = rng.uniform(-1.0, 1.0, size=2)
-            phi, psi = rng.uniform(-1.5, 1.5, size=2)
-            h = eval_jet2(spec.h, complex(x, y)).value
-            X = complex(phi, psi)
-            if abs(X) > 0.3 and abs(h - X * X) > margin:
-                pts.append((x, phi, y, psi))
-    dtype = np.complex128 if fam is Family.COMPLEX_SPHERE else np.float64
-    return np.array(pts, dtype=dtype)
+            raise OutOfDomainError(
+                f"rejection sampling kept {len(pts)} of {count} points after "
+                f"{attempts - 1} draws; domain too thin for {spec.family.value}?")
+        point = _draw(spec, rng)
+        t, v = chart_pair(spec, point)
+        try:
+            den = den_at(spec, t, v)
+        except DomainError:
+            continue
+        if (not isinstance(v, complex) or abs(v) > 0.3) and abs(den) > margin:
+            pts.append(point)
+    return np.array(pts, dtype=np.complex128 if spec.is_complex_chart else np.float64)

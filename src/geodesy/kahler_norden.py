@@ -17,6 +17,7 @@ from .expr import Expression, eval_jet2
 from .geodesics import (
     GeodesicState,
     GeodesicTrajectory,
+    accelerations,
     explicit_from_trajectory,
     integrate_geodesic,
     path_explicit_from_samples,
@@ -24,6 +25,7 @@ from .geodesics import (
 from .geometry import (
     Family,
     GeometrySpec,
+    chart_pair,
     christoffel_at,
     christoffel_table,
     complexify_christoffel,
@@ -66,6 +68,18 @@ def _coords(p) -> tuple[float, float, float, float]:
     return tuple(float(c) for c in p)
 
 
+def _require_kn(spec: GeometrySpec) -> GeometrySpec:
+    """The complex-chart spec sharing the h of a 4D spec."""
+    if spec.family is not Family.KAHLER_NORDEN:
+        raise ValueError("expected the 4D family")
+    return GeometrySpec(Family.COMPLEX_SPHERE, spec.h)
+
+
+def _holomorphic_columns(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """z = x + iy and X = Phi + i Psi of samples with columns (x, Phi, y, Psi)."""
+    return samples[:, 0] + 1j * samples[:, 2], samples[:, 1] + 1j * samples[:, 3]
+
+
 def cauchy_riemann_residual(h: Expression, x: float, y: float,
                             step: float = 1e-5) -> tuple[float, float]:
     """Residuals of the two Cauchy-Riemann equations for Re h, Im h.
@@ -82,10 +96,8 @@ def cauchy_riemann_residual(h: Expression, x: float, y: float,
 
 def kn_metric_from_correspondence(spec: GeometrySpec, p) -> np.ndarray:
     """Re[G_ab dZ^a dZ^b] written out over (x, Phi, y, Psi)."""
-    if spec.family is not Family.KAHLER_NORDEN:
-        raise ValueError("expected the 4D family")
-    x, phi, y, psi = _coords(p)
-    z, X = complex(x, y), complex(phi, psi)
+    _require_kn(spec)
+    z, X = chart_pair(spec, _coords(p))
     h = eval_jet2(spec.h, z).value
     g_zz = (h - X * X) ** 2 / (X * X)
     g_xx = 1.0 / (X * X)
@@ -117,8 +129,9 @@ class KNChristoffelReport:
 
     @property
     def worst(self) -> float:
-        return max(self.max_violation, self.off_pattern_max,
-                   max(self.identities.values()))
+        # np.max keeps a NaN (the builtin max drops it unless it comes first)
+        return float(np.max([self.max_violation, self.off_pattern_max,
+                             *self.identities.values()]))
 
 
 def kn_christoffel_correspondence(spec: GeometrySpec, p) -> KNChristoffelReport:
@@ -132,9 +145,7 @@ def kn_christoffel_correspondence(spec: GeometrySpec, p) -> KNChristoffelReport:
     coords = _coords(p)
     require_in_domain(spec, coords)
     hat = christoffel_at(spec, coords, "from_jets").symbols
-    x, phi, y, psi = coords
-    spec_c = GeometrySpec(Family.COMPLEX_SPHERE, spec.h)
-    ups = christoffel_table(spec_c, (complex(x, y), complex(phi, psi)))
+    ups = christoffel_table(_require_kn(spec), chart_pair(spec, coords))
     expected = complexify_christoffel(ups)
     max_violation = float(np.max(np.abs(hat - expected)))
     pattern = np.abs(expected) > 0
@@ -166,7 +177,7 @@ class KNSplitReport:
 
     @property
     def passes(self) -> bool:
-        return max(self.coord_sup, self.basis_sup) <= self.tolerance
+        return bool(np.max([self.coord_sup, self.basis_sup]) <= self.tolerance)
 
 
 def kn_geodesic_split(spec: GeometrySpec, initial: GeodesicState, s_span,
@@ -178,58 +189,38 @@ def kn_geodesic_split(spec: GeometrySpec, initial: GeodesicState, s_span,
     the 4D split data (Phi + i Psi along s -> z(s)) is compared against the
     basis reconstructed in the complex chart.
     """
-    if spec.family is not Family.KAHLER_NORDEN:
-        raise ValueError("expected the 4D family")
+    spec_c = _require_kn(spec)
     coords = _coords(initial.coords)
     require_in_domain(spec, coords)
     vel = tuple(float(v) for v in initial.velocity)
     traj4 = integrate_geodesic(spec, GeodesicState(coords, vel), s_span, tol=rk_tol)
-    spec_c = GeometrySpec(Family.COMPLEX_SPHERE, spec.h)
-    z0, X0 = complex(coords[0], coords[2]), complex(coords[1], coords[3])
-    vz0, vX0 = complex(vel[0], vel[2]), complex(vel[1], vel[3])
-    trajc = integrate_geodesic(spec_c, GeodesicState((z0, X0), (vz0, vX0)),
-                               s_span, tol=rk_tol)
+    trajc = integrate_geodesic(
+        spec_c, GeodesicState(chart_pair(spec, coords), chart_pair(spec, vel)), s_span,
+        tol=rk_tol)
     s_hi = min(traj4.s[-1], trajc.s[-1])
     grid = np.linspace(traj4.s[0], s_hi, 65)
-    coord_sup = 0.0
-    for s in grid:
-        q4, _ = traj4.state_at(s)
-        qc, _ = trajc.state_at(s)
-        coord_sup = max(
-            coord_sup,
-            abs(q4[0] - qc[0].real), abs(q4[2] - qc[0].imag),
-            abs(q4[1] - qc[1].real), abs(q4[3] - qc[1].imag),
-        )
-    basis_sup = _split_basis_gap(spec, traj4, trajc, s_hi)
-    return KNSplitReport(grid, float(coord_sup), basis_sup, tol, traj4, trajc)
+    q4, _ = traj4.state_at(grid)
+    qc, _ = trajc.state_at(grid)
+    # np.max keeps a NaN (the builtin max drops it)
+    coord_sup = float(np.max(np.abs([q4[0] - qc[0].real, q4[2] - qc[0].imag,
+                                     q4[1] - qc[1].real, q4[3] - qc[1].imag])))
+    basis_sup = _split_basis_gap(spec, spec_c, traj4, trajc)
+    return KNSplitReport(grid, coord_sup, basis_sup, tol, traj4, trajc)
 
 
-def _split_basis_gap(spec, traj4, trajc, s_hi) -> float:
-    spec_c = GeometrySpec(Family.COMPLEX_SPHERE, spec.h)
-    n = len(traj4.s)
-    zs = traj4.coords[:, 0] + 1j * traj4.coords[:, 2]
-    Xs = traj4.coords[:, 1] + 1j * traj4.coords[:, 3]
-    vzs = traj4.velocities[:, 0] + 1j * traj4.velocities[:, 2]
-    vXs = traj4.velocities[:, 1] + 1j * traj4.velocities[:, 3]
-    azs = np.empty(n, dtype=complex)
-    aXs = np.empty(n, dtype=complex)
-    for i in range(n):
-        gam = christoffel_table(spec, traj4.coords[i])
-        acc = -np.einsum("ijk,j,k->i", gam, traj4.velocities[i], traj4.velocities[i])
-        azs[i] = acc[0] + 1j * acc[2]
-        aXs[i] = acc[1] + 1j * acc[3]
+def _split_basis_gap(spec, spec_c, traj4, trajc) -> float:
+    zs, Xs = _holomorphic_columns(traj4.coords)
+    vzs, vXs = _holomorphic_columns(traj4.velocities)
+    azs, aXs = _holomorphic_columns(accelerations(spec, traj4.coords, traj4.velocities))
 
-    def point_at(s):
-        q, _ = traj4.state_at(s)
+    def z_part(s, which):
+        """z (which = 0) or dz/ds (which = 1) of the 4D trajectory at s."""
+        q = traj4.state_at(s)[which]
         return q[0] + 1j * q[2]
-
-    def velocity_at(s):
-        _, v = traj4.state_at(s)
-        return v[0] + 1j * v[2]
 
     g_split = path_explicit_from_samples(
         spec_c, traj4.s, zs, Xs, vzs, vXs, azs, aXs,
-        point_at, velocity_at, traj4.termination)
+        lambda s: z_part(s, 0), lambda s: z_part(s, 1), traj4.termination)
     g_complex = explicit_from_trajectory(trajc)
     basis_split = reconstruct_basis(spec_c, g_split)
     basis_complex = reconstruct_basis(spec_c, g_complex)

@@ -8,11 +8,15 @@ The logarithmic derivatives of the two reconstructed solutions are
                M = sqrt((h + Psi^2)^2 - Psi'^2)
   complex:     as hyperbolic with (z, X) and a path integral for u
 
-with u_{top,bot} = exp(integral of Theta from the base point). The square
-root is continued from its base value (principal branch there, nonnegative
-real part) along the support, never re-chosen pointwise. Both Theta's solve
-the Riccati equation Theta' + Theta^2 + h = 0 exactly when the input curve is
-a geodesic, and the pair inverts back through value = sqrt(-+ top*bot).
+or, with the family sign s (+1 hyperbolic and complex, -1 ads) and
+den = h - s v^2, Theta = s v (v' + unit * sqrt(den^2 + s v'^2)) / den with
+the unit -1 (s = +1) or +i (s = -1) for top and its negative for bot; see
+geometry.FAMILY_FACTS. u_{top,bot} = exp(integral of Theta from the base
+point). The square root is continued from its base value (principal branch
+there, nonnegative real part) along the support, never re-chosen pointwise.
+Both Theta's solve the Riccati equation Theta' + Theta^2 + h = 0 exactly when
+the input curve is a geodesic, and the pair inverts back through
+value^2 = -s top*bot.
 """
 
 from __future__ import annotations
@@ -20,9 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .dense import CurveDense, SampledFunction, SegmentedCurve
+from .dense import CurveDense, SegmentedCurve
 from .errors import (
     DenominatorVanishesError,
     NegativeRadicandError,
@@ -41,8 +44,10 @@ from .geodesics import (
     Termination,
     explicit_second,
     integrate_explicit,
+    sampled_and_prescribed,
+    solve_from_inside,
 )
-from .geometry import Family, GeometrySpec
+from .geometry import GeometrySpec, add_signed
 
 #: sup-norm below which the radicand counts as identically zero (degenerate pair)
 DEGENERACY_TOL = 1e-10
@@ -122,25 +127,18 @@ class ThetaPair:
 
     @property
     def is_real_output(self) -> bool:
-        return self.spec.family is Family.HYPERBOLIC
-
-    @property
-    def _hyp_like(self) -> bool:
-        return self.spec.family in (Family.HYPERBOLIC, Family.COMPLEX_SPHERE)
+        """Theta is real: a real chart and a real unit (the hyperbolic family)."""
+        return not self.spec.is_complex_chart and np.isrealobj(self.spec.facts.theta_unit)
 
     def _data(self, t):
         g = self.geodesic
         hj = eval_jet2(self.spec.h, g.point(t))
         return g.value(t), g.slope(t), g.second(t), hj.value, hj.d1
 
-    def _radicand(self, v, w, h):
-        if self._hyp_like:
-            return (h - v * v) ** 2 + w * w
-        return (h + v * v) ** 2 - w * w
-
     def radicand(self, t):
         v, w, _, h, _ = self._data(_params(t))
-        return self._radicand(v, w, h)
+        s = self.spec.facts.sign
+        return _radicand(s, add_signed(h, -s, v * v), w)
 
     def velocity_norm(self, t):
         """Tracked speed L of the explicit-form geodesic (radicand's root)."""
@@ -154,41 +152,35 @@ class ThetaPair:
         """(Theta, Theta') at parameter t (a number or an array); derivatives
         are in x or z.
 
-        Theta = V (W + q) / den with q = -+L (hyperbolic, complex families)
-        or q = +-iM (ads), den = h -+ V^2. Near a blow-up W + q nearly
-        cancels for one branch; there the conjugate form
-        Theta = -+ V den / (W - q) (exact identity via (W+q)(W-q) = -+den^2)
-        is used instead.
+        Theta = s V (W + q) / den with q = unit * L, L the tracked root of
+        den^2 + s W^2 and den = h - s V^2 (unit -1 or +i for top, its
+        negative for bot). Near a blow-up W + q nearly cancels for one
+        branch; there the conjugate form Theta = -V den / (W - q) (exact
+        identity via (W+q)(W-q) = -s den^2) is used instead.
         """
         t = _params(t)
-        v, w, s, h, hp = self._data(t)
-        hyp_like = self._hyp_like
-        if hyp_like:
-            den = h - v * v
-            dden = hp - 2 * v * w
-        else:
-            den = h + v * v
-            dden = hp + 2 * v * w
+        v, w, sec, h, hp = self._data(t)
+        s = self.spec.facts.sign
+        den = add_signed(h, -s, v * v)
+        dden = add_signed(hp, -s, 2 * v * w)
         if self.coincident:
             q, dq = 0.0, 0.0
         else:
-            ell = self._sqrt(t, self._radicand(v, w, h))
-            if hyp_like:
-                dell = (den * dden + w * s) / ell
-                sign = -1.0 if which == "top" else 1.0
-            else:
-                dell = (den * dden - w * s) / ell
-                sign = 1j if which == "top" else -1j
-            q, dq = sign * ell, sign * dell
-        front = 1.0 if hyp_like else -1.0
+            ell = self._sqrt(t, _radicand(s, den, w))
+            dell = add_signed(den * dden, s, w * sec) / ell
+            unit = self.spec.facts.theta_unit
+            if which != "top":
+                unit = -unit
+            q, dq = unit * ell, unit * dell
+        front = 1.0 if s > 0 else -1.0
         with np.errstate(divide="ignore", invalid="ignore"):
             # both forms are computed; each point keeps the well-conditioned one
             theta_direct = front * v * (w + q) / den
-            dtheta_direct = (front * (w * (w + q) + v * (s + dq)) - theta_direct * dden) / den
-            # conjugate form: W^2 - q^2 = -den^2 (hyp, complex) or +den^2
-            # (ads); with front = +-1 both reduce to -V den / (W - q)
+            dtheta_direct = (front * (w * (w + q) + v * (sec + dq)) - theta_direct * dden) / den
+            # conjugate form: W^2 - q^2 = -s den^2, so s V (W + q) / den
+            # reduces to -V den / (W - q) for either sign
             theta_conj = -v * den / (w - q)
-            dtheta_conj = (-(w * den + v * dden) - theta_conj * (s - dq)) / (w - q)
+            dtheta_conj = (-(w * den + v * dden) - theta_conj * (sec - dq)) / (w - q)
         direct = np.abs(w + q) >= 0.5 * (np.abs(w) + np.abs(q))
         theta = np.where(direct, theta_direct, theta_conj)[()]
         dtheta = np.where(direct, dtheta_direct, dtheta_conj)[()]
@@ -209,7 +201,7 @@ class ThetaPair:
         return self._theta(t, "bot")[1]
 
     def product(self, t):
-        """top*bot; equals -value^2 (hyperbolic, complex) or +value^2 (ads)."""
+        """top*bot; equals -s value^2: -value^2 (hyperbolic, complex), +value^2 (ads)."""
         return self.top(t) * self.bot(t)
 
     def top_view(self) -> _ThetaView:
@@ -224,23 +216,24 @@ def _params(t):
     return float(t) if np.ndim(t) == 0 else np.asarray(t, dtype=float)
 
 
+def _radicand(s: int, den, w):
+    """den^2 + s w^2, the square of the speed L of the explicit-form geodesic."""
+    return add_signed(den ** 2, s, w * w)
+
+
 def _denominators_and_radicands(spec: GeometrySpec, g: ExplicitGeodesic,
                                 grid: np.ndarray):
     vals = np.asarray(g.value(grid), dtype=complex)
     slopes = np.asarray(g.slope(grid), dtype=complex)
     hs = np.asarray(eval_jet2(spec.h, g.point(grid)).value, dtype=complex)
-    if spec.family in (Family.HYPERBOLIC, Family.COMPLEX_SPHERE):
-        dens = hs - vals * vals
-        rads = dens * dens + slopes * slopes
-    else:
-        dens = hs + vals * vals
-        rads = dens * dens - slopes * slopes
-    return dens, rads
+    s = spec.facts.sign
+    dens = add_signed(hs, -s, vals * vals)
+    return dens, _radicand(s, dens, slopes)
 
 
 def theta_from_geodesic(spec: GeometrySpec, g: ExplicitGeodesic) -> ThetaPair:
     """Build the branch-tracked Theta pair of an explicit-form geodesic."""
-    if spec.family is Family.KAHLER_NORDEN:
+    if spec.dim != 2:
         raise ValueError("use the complex chart for the 4D family")
     grid = g._values.refined(1)
     dens, rads = _denominators_and_radicands(spec, g, grid)
@@ -395,11 +388,7 @@ def reconstruct_basis(spec: GeometrySpec, g: ExplicitGeodesic, base=None,
             # interpolation-limited (the equation itself degenerates there)
             inner = (grid > g.nodes[1]) & (grid < g.nodes[-2])
             grid = grid[inner] if np.count_nonzero(inner) > 4 else grid
-        vals = np.atleast_1d(g.value(grid))
-        slopes = np.atleast_1d(g.slope(grid))
-        secs = np.atleast_1d(g.second(grid))
-        f = np.array([explicit_second(spec, p, v, w)
-                      for p, v, w in zip(g.point(grid), vals, slopes)])
+        secs, f = sampled_and_prescribed(spec, g, grid)
         # relative to the local equation scale: explicit geodesics blow up
         # at finite x, where any absolute gate would misfire
         worst = np.max(np.abs(secs - f) / (1.0 + np.abs(f)))
@@ -455,8 +444,8 @@ def _velocity_inside(path: ComplexPath, ts: np.ndarray) -> np.ndarray:
 def invert_to_geodesic(source, refine: int = 3) -> ExplicitGeodesic:
     """Recover the explicit-form geodesic from a basis or a Theta pair.
 
-    value = sqrt(-top*bot) for the hyperbolic and complex families,
-    value = sqrt(+top*bot) for ads; the root is continued from the base
+    value = sqrt(-s top*bot): sqrt(-top*bot) for the hyperbolic and complex
+    families, sqrt(+top*bot) for ads; the root is continued from the base
     (positive real part there), matching the uniqueness statement of the
     inversion formulas. ``refine`` controls the sampling density of the
     recovered curve between the source's nodes. Along a path the recovered
@@ -476,13 +465,13 @@ def invert_to_geodesic(source, refine: int = 3) -> ExplicitGeodesic:
     g0 = pair.geodesic
     grid = g0._values.refined(refine)
     spec = pair.spec
-    sign = 1.0 if spec.family in (Family.ADS_PLUS, Family.ADS_MINUS) else -1.0
+    sign = -float(spec.facts.sign)
     top, dtop = pair._theta(grid, "top")
     bot, dbot = pair._theta(grid, "bot")
     # broadcast: a pair that is constant may answer with scalars
     prods = np.broadcast_to(sign * top * bot, grid.shape).astype(complex)
     dprods = np.broadcast_to(sign * (dtop * bot + top * dbot), grid.shape).astype(complex)
-    real_family = spec.family is not Family.COMPLEX_SPHERE
+    real_family = not spec.is_complex_chart
     if real_family and np.min(prods.real) < -1e-9 * max(1.0, np.max(np.abs(prods))):
         raise NegativeRadicandError(
             "top*bot has the wrong sign; the pair did not come from this "
@@ -513,7 +502,7 @@ def invert_to_geodesic(source, refine: int = 3) -> ExplicitGeodesic:
 # --- Riccati solutions as geodesics ----------------------------------------------
 
 def integrate_riccati(h: Expression, theta0, x0: float, support,
-                      tol: float = 1e-12, cap: float = 1e6) -> SampledFunction:
+                      tol: float = 1e-12, cap: float = 1e6) -> CurveDense:
     """Direct RK integration of Theta' = -Theta^2 - h as a dense function.
 
     Works for real h/theta0 and for complex-mode h along the real axis.
@@ -537,33 +526,17 @@ def integrate_riccati(h: Expression, theta0, x0: float, support,
     escape.terminal = True
     escape.direction = -1
 
-    runs = []
-    for target in (a, b):
-        if target == x0:
-            continue
-        sol = solve_ivp(rhs, (x0, target), pack(complex(theta0) if is_complex else float(theta0)),
-                        method="RK45", rtol=tol, atol=tol * 1e-2,
-                        events=[escape], max_step=abs(b - a) / 64.0)
-        if sol.status == -1:
-            raise StepSizeUnderflowError(sol.message)
-        runs.append((sol.t, sol.y))
-    xs_parts, th_parts = [], []
-    for ts, ys in runs:
-        order = np.argsort(ts)
-        xs_parts.append(ts[order])
-        th_parts.append((ys[0] + 1j * ys[1] if is_complex else ys[0])[order])
-    if len(runs) == 2:
-        xs = np.concatenate([xs_parts[0][:-1], xs_parts[1]])
-        ths = np.concatenate([th_parts[0][:-1], th_parts[1]])
-    else:
-        xs, ths = xs_parts[0], th_parts[0]
+    xs, ys, _ = solve_from_inside(
+        rhs, x0, pack(complex(theta0) if is_complex else float(theta0)), (a, b),
+        [escape], tol, abs(b - a) / 64.0, drop_event_sample=False)
+    ths = ys[0] + 1j * ys[1] if is_complex else ys[0]
     d1 = np.empty_like(ths)
     d2 = np.empty_like(ths)
     for i, (x, th) in enumerate(zip(xs, ths)):
         hj = eval_jet2(h, complex(x) if is_complex else float(x))
         d1[i] = -th * th - hj.value
         d2[i] = -2 * th * d1[i] - hj.d1
-    return SampledFunction(CurveDense(xs, [ths, d1, d2]))
+    return CurveDense(xs, [ths, d1, d2])
 
 
 @dataclass(frozen=True)
@@ -590,27 +563,24 @@ def riccati_solution_is_geodesic(spec: GeometrySpec, theta,
     lo, hi = theta.support
     grid = np.linspace(lo, hi, 257)
     ric = np.max(np.abs(riccati_residual(spec.h, theta, grid)))
-    if ric > tol:
+    if not ric <= tol:  # a NaN residual fails too
         raise RiccatiResidualTooLargeError(
             f"Riccati residual {ric:.3e} exceeds {tol:.0e}")
     if sign_mode == "real":
-        if spec.family not in (Family.ADS_PLUS, Family.ADS_MINUS):
+        if spec.dim != 2 or spec.facts.sign > 0:
             raise ValueError("real mode checks the ads explicit equation")
         th0 = theta.value(0.5 * (lo + hi))
         factor = 1.0 if np.real(th0) > 0 else -1.0
     elif sign_mode == "imaginary":
-        if spec.family is not Family.COMPLEX_SPHERE:
+        if not spec.is_complex_chart:
             raise ValueError("imaginary mode checks the complex explicit equation")
         factor = -1j
     else:
         raise ValueError("sign_mode must be 'real' or 'imaginary'")
-    devs = []
-    for t in grid:
-        v = factor * theta.value(t)
-        w = factor * theta.d1(t)
-        s = factor * theta.d2(t)
-        point = complex(t) if sign_mode == "imaginary" else float(t)
-        devs.append(abs(s - explicit_second(spec, point, v, w)))
+    point = complex if sign_mode == "imaginary" else float
+    devs = [abs(factor * theta.d2(t) - explicit_second(
+                spec, point(t), factor * theta.value(t), factor * theta.d1(t)))
+            for t in grid]
     return RiccatiGeodesicReport(float(ric), float(np.max(devs)), tol, factor)
 
 
@@ -624,7 +594,8 @@ class PathIndependenceReport:
 
     @property
     def passes(self) -> bool:
-        return max(self.diff_top, self.diff_bot) <= self.tolerance
+        # np.max keeps a NaN (the builtin max drops it unless it comes first)
+        return bool(np.max([self.diff_top, self.diff_bot]) <= self.tolerance)
 
 
 def path_independence_check(spec: GeometrySpec, g: ExplicitGeodesic,
@@ -637,7 +608,7 @@ def path_independence_check(spec: GeometrySpec, g: ExplicitGeodesic,
     holomorphic continuation is path independent while the paths stay in the
     support region); leaving the region raises PathLeavesSupportError.
     """
-    if spec.family is not Family.COMPLEX_SPHERE:
+    if not spec.is_complex_chart:
         raise ValueError("path independence applies to the complex family")
     if g.path is None or abs(g.path.start - complex(z0)) > 1e-12:
         raise ValueError("geodesic must be anchored at z0")

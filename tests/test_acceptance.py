@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 
 from conftest import COMPLEX_POOL, REAL_POOL, make_spec
 from geodesy import geodesics as gd, kahler_norden as kn, reconstruct as rc
-from geodesy.dense import CurveDense, SampledFunction
+from geodesy.dense import CurveDense
 from geodesy.expr import parse
 from geodesy.geodesics import (
     ComplexPath,
@@ -150,8 +150,8 @@ def test_criterion_07_riccati_theorems():
     _verdict(7, "real Riccati solutions are ads geodesics", dev, 1e-6)
     spec_c = make_spec("complex", "1+0*z")
     ts = np.linspace(0, 1, 21)
-    theta_i = SampledFunction(CurveDense(
-        ts, [np.full(21, 1j), np.zeros(21), np.zeros(21)]))
+    theta_i = CurveDense(
+        ts, [np.full(21, 1j), np.zeros(21), np.zeros(21)])
     rep = rc.riccati_solution_is_geodesic(spec_c, theta_i, "imaginary", tol=1e-9)
     _verdict(7, "complex analogue Theta = i, h = 1", rep.geodesic_sup, 1e-12)
 

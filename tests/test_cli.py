@@ -1,7 +1,9 @@
 """CLI contract: exit codes, JSON reports, determinism, CSV, scenario pools."""
 
 import csv
+import dataclasses
 import json
+import math
 
 import pytest
 
@@ -202,3 +204,63 @@ def test_complex_solve_against_brute_force_rk(capsys):
         ref = complex(sol.sol(s)[0], sol.sol(s)[1])
         dev = max(dev, abs(basis.u_top.value(s) - ref))
     assert dev < 1e-6
+
+
+@pytest.mark.parametrize("argv, field, check", [
+    (("curvature", "--family", "hyperbolic", "--h", "sin(x)+3"), "sectional_k", "sectional_k"),
+    (("curvature", "--family", "kn", "--h", "z^2+1"), "einstein_eta", "einstein_eta"),
+    (("kn-verify", "--h", "z^2+1"), "einstein_eta", "einstein_eta"),
+])
+def test_a_nan_deviation_fails_its_check(capsys, monkeypatch, argv, field, check):
+    """One NaN among the sampled points must fail the check, not vanish in a max."""
+    original = cli.curvature_at
+    calls = []
+
+    def nan_at_third_point(spec, p):
+        rep = original(spec, p)
+        calls.append(p)
+        return dataclasses.replace(rep, **{field: math.nan}) if len(calls) == 3 else rep
+
+    monkeypatch.setattr(cli, "curvature_at", nan_at_third_point)
+    code, out, _ = run_cli(capsys, *argv, "--set", "points=6")
+    assert code == 1
+    failed = {c["name"]: c for c in json.loads(out)["checks"] if not c["pass"]}
+    assert check in failed and math.isnan(failed[check]["max_deviation"])
+
+
+@pytest.mark.parametrize("h", ["log(x)", "sqrt(x)"])
+def test_curvature_with_a_restricted_domain_h_passes(capsys, h):
+    code, out, _ = run_cli(capsys, "curvature", "--family", "hyperbolic", "--h", h,
+                           "--set", "points=20")
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
+def test_curvature_on_an_empty_domain_exits_two(capsys):
+    code, out, err = run_cli(capsys, "curvature", "--family", "hyperbolic",
+                             "--h", "log(x-10)", "--set", "points=3")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "OutOfDomainError"
+    assert "Traceback" not in err
+
+
+SHIPPED_POOL_VERDICTS = {
+    "curvature-hyperbolic-sin": True, "curvature-hyperbolic-exp": True,
+    "curvature-ads-plus": True, "curvature-ads-minus": True,
+    "curvature-complex-sphere": True, "curvature-kahler-norden": True,
+    "geodesic-ads-shared": True, "solve-harmonic-oscillator": True,
+    "solve-hyperbolic-constant": True, "solve-airy": True, "solve-complex-line": True,
+    "riccati-quadratic": True, "riccati-constant": True, "kn-verify-quadratic": True,
+    "negative-control-non-geodesic": False,
+}
+
+
+def test_shipped_pool_verifies(capsys):
+    """verify-all on the packaged pool: every family end to end."""
+    code, out, _ = run_cli(capsys, "verify-all")
+    assert code == 0
+    report = json.loads(out)
+    assert report["pass"] is True
+    assert {s["name"]: s["pass"] for s in report["scenarios"]} == SHIPPED_POOL_VERDICTS
+    control = [s for s in report["scenarios"] if not s["pass"]]
+    assert [s["expected_fail"] for s in control] == [True]

@@ -270,3 +270,63 @@ def test_complex_trajectory_to_explicit(airy_geodesic):
     # the path reproduces the trajectory's z-projection
     q0, _ = traj.state_at(0.4)
     assert abs(g.path.point(0.5) - q0[0]) < 1e-12
+
+
+# --- the explicit-form right-hand side, written out per family ------------------
+
+def _hyperbolic_rhs(h, hp, v, w):
+    return (3 * v**2 + h) / (v**2 - h) * w**2 / v - hp * w / (v**2 - h) + (v**4 - h**2) / v
+
+
+def _ads_rhs(h, hp, v, w):
+    return (3 * v**2 - h) / (v**2 + h) * w**2 / v + hp * w / (v**2 + h) - (v**4 - h**2) / v
+
+
+@pytest.mark.parametrize("family, source, x, v, w, hand", [
+    ("hyperbolic", "sin(x)+3", 0.4, 1.3, 0.7,
+     _hyperbolic_rhs(np.sin(0.4) + 3, np.cos(0.4), 1.3, 0.7)),
+    ("ads+", "x^2+2", 0.3, 1.1, -0.4, _ads_rhs(2.09, 0.6, 1.1, -0.4)),
+    ("ads-", "exp(x)", -0.2, 0.8, 0.5, _ads_rhs(np.exp(-0.2), np.exp(-0.2), 0.8, 0.5)),
+    ("complex", "z^2+1", 0.3 + 0.2j, 1.2 - 0.5j, 0.4 + 0.3j,
+     _hyperbolic_rhs((0.3 + 0.2j) ** 2 + 1, 2 * (0.3 + 0.2j), 1.2 - 0.5j, 0.4 + 0.3j)),
+])
+def test_explicit_second_at_a_point(family, source, x, v, w, hand):
+    spec = make_spec(family, source)
+    assert abs(gd.explicit_second(spec, x, v, w) - hand) <= 1e-13 * abs(hand)
+
+
+@pytest.mark.parametrize("family, source, x0, v0, w0", [
+    ("hyperbolic", "sin(x)+3", 0.2, 1.4, 0.3),
+    ("ads+", "x^2+2", -0.3, 1.1, 0.2),
+    ("ads-", "exp(x)", 0.1, 0.9, -0.4),
+    ("complex", "z^2+1", 0.3 + 0.2j, 1.2 - 0.5j, 0.4 + 0.3j),
+])
+def test_third_derivative_is_the_derivative_of_the_rhs_along_the_ode(
+        family, source, x0, v0, w0):
+    """v''' from the jets against a central difference of v'' = f(x, v, v')
+    along the solution through (x0, v0, w0), stepped along the real direction."""
+    spec = make_spec(family, source)
+    from scipy.integrate import solve_ivp
+
+    def rhs(t, y):
+        return [y[1], gd.explicit_second(spec, x0 + t, y[0], y[1])]
+
+    step = 1e-4
+    y0 = np.array([v0, w0], dtype=complex if family == "complex" else float)
+    f = []
+    for t in (step, -step):
+        sol = solve_ivp(rhs, (0.0, t), y0, method="DOP853", rtol=1e-13, atol=1e-15)
+        v, w = sol.y[:, -1]
+        f.append(gd.explicit_second(spec, x0 + t, v, w))
+    _, third = gd.explicit_second_and_third(spec, x0, v0, w0)
+    # the central difference is good to about 3e-7 here
+    assert abs((f[0] - f[1]) / (2 * step) - third) <= 1e-5 * max(1.0, abs(third))
+
+
+def test_complex_rhs_is_odd_in_the_value():
+    """(X, X') -> (-X, -X') maps complex geodesics to geodesics."""
+    spec = make_spec("complex", "exp(z)")
+    z, v, w = 0.3 - 0.1j, 0.9 + 0.4j, -0.2 + 0.6j
+    f = gd.explicit_second(spec, z, v, w)
+    assert abs(gd.explicit_second(spec, z, -v, -w) + f) <= 1e-15 * abs(f)
+    assert gd.explicit_second(spec, z, -v, 0) == -gd.explicit_second(spec, z, v, 0)

@@ -1,7 +1,11 @@
 """Metric families, Christoffel symbols, curvature identities."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import COMPLEX_POOL, REAL_POOL, make_spec
 from geodesy import geometry as geo
@@ -219,3 +223,49 @@ def test_sampling_respects_domain():
         assert len(pts) == 25
         for p in pts:
             assert geo.domain_violation(spec, p) is None
+
+
+def test_sampling_rejects_draws_where_h_is_undefined():
+    """Each (x, Phi) draw is kept iff h(x) is defined and |Phi^2 - h| > 0.05;
+    a rejected draw uses the same random numbers as a kept one."""
+    spec = make_spec("hyperbolic", "sqrt(x)")
+    pts = geo.sample_domain_points(spec, np.random.default_rng(4), 12)
+    rng = np.random.default_rng(4)
+    expected = []
+    while len(expected) < 12:
+        x, phi = rng.uniform(-2.0, 2.0), rng.uniform(0.2, 3.0)
+        if x > 0 and abs(phi * phi - math.sqrt(x)) > 0.05:
+            expected.append((x, phi))
+    assert np.array_equal(pts, np.array(expected))
+
+
+def test_sampling_gives_up_with_out_of_domain_error():
+    spec = make_spec("hyperbolic", "log(x-10)")  # undefined on the whole draw range
+    with pytest.raises(OutOfDomainError):
+        geo.sample_domain_points(spec, np.random.default_rng(5), 3)
+
+
+_FAMILY_POOLS = {"hyperbolic": ["sin(x)+3", "x^2+2", "-1", "exp(x)", "x^3-x"],
+                 "ads+": ["sin(x)+3", "x^2+2", "-1", "exp(x)", "x^3-x"],
+                 "ads-": ["sin(x)+3", "x^2+2", "-1", "exp(x)", "x^3-x"],
+                 "complex": ["z^2+1", "exp(z)", "z", "sin(z)"]}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILY_POOLS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_closed_form_and_jet_christoffels_agree(family, data):
+    h = data.draw(st.sampled_from(_FAMILY_POOLS[family]))
+    spec = make_spec(family, h)
+    coord = st.floats(-2.0, 2.0)
+    if family == "complex":
+        point = (complex(data.draw(coord), data.draw(coord)) / 2,
+                 complex(data.draw(coord), data.draw(coord)))
+        assume(abs(point[1]) > 0.3)
+    else:
+        point = (data.draw(coord), data.draw(st.floats(0.2, 3.0)))
+    assume(geo.domain_violation(spec, point, guard=0.05) is None)
+    closed = christoffel_at(spec, point, "closed_form").symbols
+    jets = christoffel_at(spec, point, "from_jets").symbols
+    scale = max(1.0, float(np.max(np.abs(closed))))
+    assert np.max(np.abs(closed - jets)) <= 1e-9 * scale

@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 
 from conftest import make_spec
 from geodesy import expr, geodesics as gd, reconstruct as rc
-from geodesy.dense import CurveDense, SampledFunction
+from geodesy.dense import CurveDense
 from geodesy.errors import (
     DenominatorVanishesError,
     NegativeRadicandError,
@@ -120,10 +120,10 @@ def test_wronskian_constant_and_nonzero(airy_basis):
 def test_riccati_residual_trivial_cases():
     h = expr.parse("-1")
     ts = np.linspace(0, 1, 21)
-    theta = SampledFunction(CurveDense(ts, [np.ones(21), np.zeros(21), np.zeros(21)]))
+    theta = CurveDense(ts, [np.ones(21), np.zeros(21), np.zeros(21)])
     assert np.max(np.abs(rc.riccati_residual(h, theta, ts))) == 0.0
     h1 = expr.parse("1")
-    u = SampledFunction(CurveDense(ts, [np.sin(ts), np.cos(ts), -np.sin(ts)]))
+    u = CurveDense(ts, [np.sin(ts), np.cos(ts), -np.sin(ts)])
     assert np.max(np.abs(rc.ode_residual(h1, u, ts))) < 1e-12
 
 
@@ -235,8 +235,8 @@ def test_riccati_complex_constant_exact():
     of the dense interpolant)."""
     spec = make_spec("complex", "1+0*z")
     ts = np.linspace(0, 1, 21)
-    theta = SampledFunction(CurveDense(
-        ts, [np.full(21, 1j), np.zeros(21), np.zeros(21)]))
+    theta = CurveDense(
+        ts, [np.full(21, 1j), np.zeros(21), np.zeros(21)])
     report = rc.riccati_solution_is_geodesic(spec, theta, "imaginary", tol=1e-9)
     assert report.riccati_sup < 1e-12
     assert report.geodesic_sup < 1e-12
@@ -250,7 +250,7 @@ def test_riccati_complex_tan_solution():
     vals = -np.tan(ts) + 0j
     d1 = -1.0 / np.cos(ts) ** 2 + 0j
     d2 = -2.0 * np.tan(ts) / np.cos(ts) ** 2 + 0j
-    theta = SampledFunction(CurveDense(ts, [vals, d1, d2]))
+    theta = CurveDense(ts, [vals, d1, d2])
     report = rc.riccati_solution_is_geodesic(spec, theta, "imaginary", tol=1e-6)
     assert report.passes
 
@@ -258,8 +258,8 @@ def test_riccati_complex_tan_solution():
 def test_riccati_gate_rejects_non_solutions():
     spec = make_spec("ads+", "1")
     ts = np.linspace(0, 1, 11)
-    theta = SampledFunction(CurveDense(ts, [np.full(11, 2.0), np.zeros(11),
-                                            np.zeros(11)]))
+    theta = CurveDense(ts, [np.full(11, 2.0), np.zeros(11),
+                            np.zeros(11)])
     with pytest.raises(RiccatiResidualTooLargeError):
         rc.riccati_solution_is_geodesic(spec, theta, "real", tol=1e-6)
 
@@ -416,7 +416,7 @@ def test_array_theta_matches_scalar_where_the_conjugate_form_is_taken(airy_basis
     pair = basis.theta
     ts = np.linspace(*g.support, 301)
     v, w, _, h, _ = pair._data(ts)
-    q = -pair._sqrt(ts, pair._radicand(v, w, h))
+    q = -pair._sqrt(ts, pair.radicand(ts))
     conjugate = np.abs(w + q) < 0.5 * (np.abs(w) + np.abs(q))
     assert conjugate.any() and not conjugate.all(), "case selection"
     for which in ("top", "bot"):
