@@ -2,8 +2,10 @@
 
 One JSON document goes to stdout; ``--pretty`` adds a human-readable table on
 stderr; ``--csv`` writes the sample/check table to a file. Exit codes: 0 all
-checks pass, 1 a check failed, 2 invalid input. Reports are deterministic for
-a fixed scenario and seed up to the wall_time_s field.
+checks pass, 1 a check failed (or, in ``verify-all``, a scenario raised), 2
+invalid input. Reports are deterministic for a fixed scenario and seed up to
+the wall_time_s field. The JSON is strict: a NaN or infinite deviation is
+written as the string "nan", "inf" or "-inf".
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import configparser
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -375,8 +378,21 @@ def build_report(command: str, scenario: Scenario, checks: list[dict],
     }
 
 
+def _finite_or_text(obj):
+    """``obj`` with every non-finite float replaced by "nan", "inf" or "-inf"."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_text(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_finite_or_text(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    return obj
+
+
 def _emit(report: dict, pretty: bool) -> None:
-    sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
+    # JSON has no NaN or Infinity; the report itself keeps floats
+    sys.stdout.write(json.dumps(_finite_or_text(report), sort_keys=True,
+                                allow_nan=False) + "\n")
     if pretty:
         lines = [f"== {report['command']} : "
                  f"{'PASS' if report.get('pass') else 'FAIL'} =="]
@@ -385,8 +401,11 @@ def _emit(report: dict, pretty: bool) -> None:
                          f"<= {c['tolerance']:.1e}  "
                          f"{'ok' if c['pass'] else 'FAIL'}")
         for sub in report.get("scenarios", []):
-            status = "ok" if sub["pass"] else (
-                "expected-fail" if sub.get("expected_fail") else "FAIL")
+            if "error" in sub:
+                status = f"ERROR {sub['error']}"
+            else:
+                status = "ok" if sub["pass"] else (
+                    "expected-fail" if sub.get("expected_fail") else "FAIL")
             lines.append(f"  [{sub['name']}] {status}")
         sys.stderr.write("\n".join(lines) + "\n")
 
@@ -417,6 +436,12 @@ def _csv_cell(v):
 # --- verify-all --------------------------------------------------------------------
 
 def run_verify_all(pool_path: str | None, pretty: bool) -> int:
+    """Run every section of a scenario pool; one JSON report for the pool.
+
+    A scenario that raises is recorded with its error and counts as failed,
+    also when it is marked ``expect = fail``; the pool goes on. An empty pool
+    or an unknown kind is invalid input and stops the run.
+    """
     started = time.time()
     parser = configparser.ConfigParser()
     if pool_path is None:
@@ -438,7 +463,14 @@ def run_verify_all(pool_path: str | None, pretty: bool) -> int:
             raise ValueError(f"scenario {name!r} has unknown kind {kind!r}")
         scenario = Scenario(values)
         sub_start = time.time()
-        checks, _ = RUNNERS[kind](scenario)
+        try:
+            checks, _ = RUNNERS[kind](scenario)
+        except Exception as exc:  # one bad scenario must not stop the pool
+            results.append({"name": name, "kind": kind, "scenario": scenario.echo(),
+                            "expected_fail": expect_fail, "pass": False,
+                            "error": f"{type(exc).__name__}: {exc}"})
+            overall = False
+            continue
         sub = build_report(kind, scenario, checks, sub_start)
         sub["name"] = name
         sub["expected_fail"] = expect_fail

@@ -342,8 +342,14 @@ class Jet2:
 
     def __truediv__(self, other) -> "Jet2":
         o = self._coerce(other)
-        if o.value == 0:
-            raise DomainError("division by zero")
+        try:
+            if o.value == 0:
+                raise DomainError("division by zero")
+        except ValueError:
+            # an array of denominators has no single truth value; the try
+            # costs the scalar path nothing
+            if np.any(o.value == 0):
+                raise DomainError("division by zero") from None
         v = self.value / o.value
         d1 = (self.d1 - v * o.d1) / o.value
         d2 = (self.d2 - 2 * d1 * o.d1 - v * o.d2) / o.value
@@ -501,7 +507,7 @@ def _apply_function_array(name: str, arg: Jet2, is_complex: bool) -> Jet2:
 
 
 def _eval_array(node: Node, var: Jet2, is_complex: bool) -> Jet2:
-    """``_eval`` with ndarray jet parts; +, -, * are Jet2's own operators."""
+    """``_eval`` with ndarray jet parts; +, -, *, / are Jet2's own operators."""
     if isinstance(node, (Literal, Constant, Variable)):
         return _eval(node, var, is_complex)
     if isinstance(node, Unary):
@@ -520,12 +526,7 @@ def _eval_array(node: Node, var: Jet2, is_complex: bool) -> Jet2:
         return left - right
     if node.op == "*":
         return left * right
-    if np.any(right.value == 0):
-        raise DomainError("division by zero")
-    v = left.value / right.value
-    d1 = (left.d1 - v * right.d1) / right.value
-    d2 = (left.d2 - 2 * d1 * right.d1 - v * right.d2) / right.value
-    return Jet2(v, d1, d2)
+    return left / right
 
 
 def eval_jet2(expr: Expression, at: Scalar) -> Jet2:

@@ -300,16 +300,24 @@ def integrate_geodesic(spec: GeometrySpec, initial: GeodesicState, s_span,
 # --- explicit form ----------------------------------------------------------------
 
 def _explicit_rhs(s: int, h, hp, value, slope):
-    """The right-hand side of :func:`explicit_second` over floats, complex or Jet2.
+    """The right-hand side of :func:`explicit_second` over floats, complex or
+    Jet2; arrays, or Jet2 with array parts, hold one point per entry.
 
-    An exact zero slope (a number) resolves the v^2 = s h indeterminacy to
-    the last term: constant Riccati-induced curves live on that set.
+    An exact zero slope (a number, or an entry of an array of numbers)
+    resolves the v^2 = s h indeterminacy to the last term: constant
+    Riccati-induced curves live on that set.
     """
     v2 = value * value
     tail = signed(s, v2 * v2 - h * h) / value
-    if not isinstance(slope, Jet2) and slope == 0:
-        return tail
     den = add_signed(v2, -s, h)
+    # no isinstance dispatch: this runs inside the solver's RHS
+    try:
+        if slope == 0:  # never true for a Jet2, which equals no number
+            return tail
+    except ValueError:  # an array of slopes has no single truth value
+        # where a slope is zero the slope terms vanish and only the tail is
+        # left; a unit den there keeps points with v^2 = s h from 0/0
+        den = np.where(slope == 0, 1.0, den)
     head = add_signed(3 * v2, s, h) / den * slope * slope / value
     return add_signed(head, -s, hp * slope / den) + tail
 
@@ -319,7 +327,8 @@ def explicit_second(spec: GeometrySpec, point, value, slope):
 
         v'' = (3v^2 + s h)/(v^2 - s h) * v'^2/v - s h' v'/(v^2 - s h) + s (v^4 - h^2)/v
 
-    with s = +1 (hyperbolic, complex) or -1 (ads, both signs).
+    with s = +1 (hyperbolic, complex) or -1 (ads, both signs). ``point``,
+    ``value`` and ``slope`` may be arrays of one shape (one entry per point).
     """
     if spec.dim != 2:
         raise ValueError("no 2D explicit form for the 4D family; use the complex chart")
@@ -333,19 +342,14 @@ def explicit_second_and_third(spec: GeometrySpec, point, value, slope):
     The third derivative is the total derivative of the right-hand side along
     the solution. Running the RHS through order-1 jets seeded with
     (point, value, slope)' = (1, slope, v'') computes it without hand algebra;
-    the jets' own second-order slots are unused.
+    the jets' own second-order slots are unused. Arrays of points, values and
+    slopes give arrays of both.
     """
     second = explicit_second(spec, point, value, slope)
     hj = eval_jet2(spec.h, point)
     f = _explicit_rhs(spec.facts.sign, Jet2(hj.value, hj.d1, 0.0), Jet2(hj.d1, hj.d2, 0.0),
                       Jet2(value, slope, 0.0), Jet2(slope, second, 0.0))
     return second, f.d1
-
-
-def _seconds_and_thirds(spec: GeometrySpec, points, values, slopes):
-    """Second and third derivatives at every node, as two arrays."""
-    return np.array([explicit_second_and_third(spec, p, v, w)
-                     for p, v, w in zip(points, values, slopes)]).T
 
 
 @dataclass
@@ -509,7 +513,7 @@ def integrate_explicit(spec: GeometrySpec, x0, value0, slope0, support=None,
                           value_cap, lambda y: y)
     xs, (vals, slopes), hit_boundary = solve_from_inside(
         rhs, x0, y0, (a, b), events, tol, max_step, drop_event_sample=True)
-    seconds, thirds = _seconds_and_thirds(spec, xs, vals, slopes)
+    seconds, thirds = explicit_second_and_third(spec, xs, vals, slopes)
     curve = CurveDense(xs, [vals, slopes, seconds, thirds])
     termination = Termination.DOMAIN_BOUNDARY if hit_boundary else Termination.RANGE_END
     return ExplicitGeodesic(spec, x0, termination, curve)
@@ -535,7 +539,7 @@ def _integrate_explicit_path(spec, value0, slope0, path, tol, guard, cap, max_st
         ss, ys, stopped = _solve_run(rhs, (s_lo, s_hi), _to_real(state), events, tol, step)
         Xs, Ws = _to_complex(ys)
         if len(ss) >= 2:
-            sec, thr = _seconds_and_thirds(spec, (path.point(s) for s in ss), Xs, Ws)
+            sec, thr = explicit_second_and_third(spec, path.point(ss), Xs, Ws)
             pieces_v.append(CurveDense(ss, [Xs, Ws * vel, sec * vel ** 2, thr * vel ** 3]))
             pieces_w.append(CurveDense(ss, [Ws, sec * vel, thr * vel ** 2]))
         if stopped:
@@ -592,8 +596,9 @@ def explicit_from_trajectory(traj: GeodesicTrajectory,
     vals = traj.coords[:keep, 1]
     slopes = traj.velocities[:keep, 1] / vx[:keep]
     acc = accelerations(spec, traj.coords[:keep], traj.velocities[:keep])
-    seconds = np.array([(a[1] * u - w * a[0]) / u ** 3
-                        for a, u, w in zip(acc, vx, traj.velocities[:keep, 1])])
+    # u**3 by scalar pow: numpy's array power rounds differently in the last bit
+    cubes = np.array([u ** 3 for u in vx[:keep].tolist()])
+    seconds = (acc[:, 1] * vx[:keep] - traj.velocities[:keep, 1] * acc[:, 0]) / cubes
     if vx[0] < 0:
         xs, vals, slopes, seconds = xs[::-1], vals[::-1], slopes[::-1], seconds[::-1]
     curve = CurveDense(xs, [vals, slopes, seconds])
@@ -645,8 +650,5 @@ def geodesic_residual(spec: GeometrySpec, g: ExplicitGeodesic, t):
 
 def sampled_and_prescribed(spec: GeometrySpec, g: ExplicitGeodesic, ts: np.ndarray):
     """The curve's own second derivative at ``ts`` and the one the equation prescribes."""
-    vals = np.atleast_1d(g.value(ts))
-    slopes = np.atleast_1d(g.slope(ts))
-    prescribed = np.array([explicit_second(spec, p, v, w)
-                           for p, v, w in zip(g.point(ts), vals, slopes)])
-    return np.atleast_1d(g.second(ts)), prescribed
+    prescribed = explicit_second(spec, g.point(ts), g.value(ts), g.slope(ts))
+    return np.atleast_1d(g.second(ts)), np.atleast_1d(prescribed)

@@ -530,12 +530,9 @@ def integrate_riccati(h: Expression, theta0, x0: float, support,
         rhs, x0, pack(complex(theta0) if is_complex else float(theta0)), (a, b),
         [escape], tol, abs(b - a) / 64.0, drop_event_sample=False)
     ths = ys[0] + 1j * ys[1] if is_complex else ys[0]
-    d1 = np.empty_like(ths)
-    d2 = np.empty_like(ths)
-    for i, (x, th) in enumerate(zip(xs, ths)):
-        hj = eval_jet2(h, complex(x) if is_complex else float(x))
-        d1[i] = -th * th - hj.value
-        d2[i] = -2 * th * d1[i] - hj.d1
+    hj = eval_jet2(h, xs.astype(complex) if is_complex else xs)
+    d1 = -ths * ths - hj.value
+    d2 = -2 * ths * d1 - hj.d1
     return CurveDense(xs, [ths, d1, d2])
 
 
@@ -577,10 +574,9 @@ def riccati_solution_is_geodesic(spec: GeometrySpec, theta,
         factor = -1j
     else:
         raise ValueError("sign_mode must be 'real' or 'imaginary'")
-    point = complex if sign_mode == "imaginary" else float
-    devs = [abs(factor * theta.d2(t) - explicit_second(
-                spec, point(t), factor * theta.value(t), factor * theta.d1(t)))
-            for t in grid]
+    points = grid.astype(complex) if sign_mode == "imaginary" else grid
+    devs = np.abs(factor * theta.d2(grid) - explicit_second(
+        spec, points, factor * theta.value(grid), factor * theta.d1(grid)))
     return RiccatiGeodesicReport(float(ric), float(np.max(devs)), tol, factor)
 
 

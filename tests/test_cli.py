@@ -225,7 +225,7 @@ def test_a_nan_deviation_fails_its_check(capsys, monkeypatch, argv, field, check
     code, out, _ = run_cli(capsys, *argv, "--set", "points=6")
     assert code == 1
     failed = {c["name"]: c for c in json.loads(out)["checks"] if not c["pass"]}
-    assert check in failed and math.isnan(failed[check]["max_deviation"])
+    assert check in failed and failed[check]["max_deviation"] == "nan"
 
 
 @pytest.mark.parametrize("h", ["log(x)", "sqrt(x)"])
@@ -264,3 +264,74 @@ def test_shipped_pool_verifies(capsys):
     assert {s["name"]: s["pass"] for s in report["scenarios"]} == SHIPPED_POOL_VERDICTS
     control = [s for s in report["scenarios"] if not s["pass"]]
     assert [s["expected_fail"] for s in control] == [True]
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_a_nan_deviation_is_written_as_strict_json(capsys, monkeypatch):
+    """stdout parses under a strict reader: NaN becomes the string "nan"."""
+    original = cli.curvature_at
+
+    def nan_everywhere(spec, p):
+        return dataclasses.replace(original(spec, p), sectional_k=math.nan)
+
+    monkeypatch.setattr(cli, "curvature_at", nan_everywhere)
+    code, out, _ = run_cli(capsys, "curvature", "--family", "hyperbolic",
+                           "--h", "sin(x)+3", "--set", "points=4")
+    assert code == 1
+    assert "NaN" not in out
+    report = json.loads(out, parse_constant=_reject_constant)
+    check = {c["name"]: c for c in report["checks"]}["sectional_k"]
+    assert check["max_deviation"] == "nan" and check["pass"] is False
+
+
+def test_a_raising_scenario_does_not_stop_the_pool(tmp_path, capsys):
+    pool = tmp_path / "pool.cfg"
+    pool.write_text(
+        "[raises]\n"
+        "kind = curvature\nfamily = hyperbolic\nh = log(x-10)\npoints = 3\n"
+        "[after]\n"
+        "kind = curvature\nfamily = hyperbolic\nh = -1\npoints = 5\n")
+    code, out, err = run_cli(capsys, "verify-all", "--scenario", str(pool), "--pretty")
+    assert code == 1
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["pass"] is False
+    raised, after = report["scenarios"]
+    assert raised["name"] == "raises" and raised["kind"] == "curvature"
+    assert raised["pass"] is False
+    assert raised["error"].startswith("OutOfDomainError: ")
+    assert after["name"] == "after" and after["pass"] is True and "error" not in after
+    assert "Traceback" not in err and "ERROR OutOfDomainError" in err
+
+
+def test_a_raising_negative_control_is_not_a_pass(tmp_path, capsys):
+    pool = tmp_path / "pool.cfg"
+    pool.write_text(
+        "[control]\n"
+        "kind = curvature\nfamily = hyperbolic\nh = log(x-10)\npoints = 3\n"
+        "expect = fail\n")
+    code, out, _ = run_cli(capsys, "verify-all", "--scenario", str(pool))
+    assert code == 1
+    [control] = json.loads(out)["scenarios"]
+    assert control["expected_fail"] is True and control["pass"] is False
+    assert "error" in control
+
+
+def _without_wall_time(obj):
+    if isinstance(obj, dict):
+        return {k: _without_wall_time(v) for k, v in obj.items() if k != "wall_time_s"}
+    if isinstance(obj, list):
+        return [_without_wall_time(v) for v in obj]
+    return obj
+
+
+def test_verify_all_is_deterministic_within_one_process(capsys):
+    """Two runs of the shipped pool in one process give the same report up
+    to wall_time_s: nothing depends on call order or leftover state."""
+    first = run_cli(capsys, "verify-all")
+    second = run_cli(capsys, "verify-all")
+    assert first[0] == second[0] == 0
+    assert (_without_wall_time(json.loads(first[1]))
+            == _without_wall_time(json.loads(second[1])))

@@ -262,3 +262,18 @@ def test_evaluation_is_pure():
     for _ in range(3):
         again = eval_jet2(e, 0.7)
         assert (again.value, again.d1, again.d2) == (first.value, first.d1, first.d2)
+
+
+def test_jet_division_by_an_array_with_a_zero_raises():
+    num = expr.Jet2(np.array([1.0, 2.0, 3.0]), np.ones(3), np.zeros(3))
+    with pytest.raises(DomainError):
+        num / expr.Jet2(np.array([1.0, 0.0, 2.0]), np.ones(3), np.ones(3))
+    with pytest.raises(DomainError):
+        num / np.array([2.0, 0.0, 1.0])
+    # without a zero the quotient is the scalar quotient entry by entry
+    den = expr.Jet2(np.array([0.5, -2.0, 4.0]), np.array([1.0, 0.3, -1.0]), np.ones(3))
+    got = num / den
+    for i in range(3):
+        one = expr.Jet2(num.value[i], num.d1[i], num.d2[i]) / expr.Jet2(
+            den.value[i], den.d1[i], den.d2[i])
+        assert (got.value[i], got.d1[i], got.d2[i]) == (one.value, one.d1, one.d2)

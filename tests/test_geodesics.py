@@ -1,5 +1,7 @@
 """Affine and explicit-form geodesic integration."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -330,3 +332,51 @@ def test_complex_rhs_is_odd_in_the_value():
     f = gd.explicit_second(spec, z, v, w)
     assert abs(gd.explicit_second(spec, z, -v, -w) + f) <= 1e-15 * abs(f)
     assert gd.explicit_second(spec, z, -v, 0) == -gd.explicit_second(spec, z, v, 0)
+
+
+@pytest.mark.parametrize("family, source", [
+    ("hyperbolic", "sin(x)+3"), ("ads+", "x^2+2"), ("ads-", "exp(x)"), ("complex", "z^2+1"),
+])
+def test_array_second_and_third_equal_the_per_node_loop(family, source):
+    """One array call of explicit_second_and_third (the node data of every
+    explicit integration) equals the call node by node, also at a node of
+    exact zero slope. numpy and libm may round elementary functions
+    differently in the last bit, so the bound is 1e-14 of the largest jet part
+    at the nodes (h, h', h'', value, slope and the results)."""
+    spec = make_spec(family, source)
+    rng = np.random.default_rng(5)
+    n = 40
+    points = np.sort(rng.uniform(-1, 1, n))
+    values = rng.uniform(0.3, 1.2, n)
+    slopes = rng.uniform(-1, 1, n)
+    if family == "complex":
+        points = points + 1j * rng.uniform(-0.3, 0.3, n)
+        values = values + 1j * rng.uniform(-0.3, 0.3, n)
+        slopes = slopes + 1j * rng.uniform(-1, 1, n)
+    slopes[7] = 0
+    loop = np.array([gd.explicit_second_and_third(spec, p, v, w)
+                     for p, v, w in zip(points, values, slopes)]).T
+    jets = [gd.eval_jet2(spec.h, p) for p in points]
+    scale = max(np.max(np.abs([[j.value, j.d1, j.d2] for j in jets])),
+                np.max(np.abs(values)), np.max(np.abs(slopes)), np.max(np.abs(loop)))
+    seconds, thirds = gd.explicit_second_and_third(spec, points, values, slopes)
+    assert seconds.shape == thirds.shape == (n,)
+    assert np.max(np.abs(seconds - loop[0])) <= 1e-14 * scale
+    assert np.max(np.abs(thirds - loop[1])) <= 1e-14 * scale
+    # the zero-slope node takes the same shortcut as the scalar call
+    assert seconds[7] == gd.explicit_second(spec, points[7], values[7], 0.0)
+
+
+def test_array_zero_slope_shortcut_on_the_singular_set():
+    """Phi = 2, Phi' = 0 with h = 4 sits on den = 0: the array call returns
+    the tail there, like the scalar one, without a division warning."""
+    spec = make_spec("hyperbolic", "4+0*x")
+    values = np.array([2.0, 1.5, 2.0])
+    slopes = np.array([0.0, 0.3, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gd.explicit_second(spec, np.array([0.1, 0.2, 0.3]), values, slopes)
+    scalar = [gd.explicit_second(spec, x, v, w)
+              for x, v, w in zip([0.1, 0.2, 0.3], values, slopes)]
+    assert got.tolist() == scalar
+    assert got[0] == 0.0

@@ -444,3 +444,27 @@ def test_inversion_round_trips_across_a_polyline_vertex():
     rec = rc.invert_to_geodesic(basis)
     ss = np.linspace(*g.support, 101)
     assert np.max(np.abs(rec.value(ss) - g.value(ss))) < 1e-7
+
+
+class _NanSecondDerivative:
+    """A Riccati solution whose second derivative reads NaN at one query point."""
+
+    def __init__(self, curve):
+        self.support = curve.support
+        self.value = curve.value
+        self.d1 = curve.d1
+        self._d2 = curve.d2
+
+    def d2(self, t):
+        out = np.array(self._d2(t), dtype=float)
+        out.flat[out.size // 2] = np.nan
+        return out
+
+
+def test_nan_in_the_induced_geodesic_residual_fails_the_riccati_check():
+    h = expr.parse("x^2")
+    spec = make_spec("ads+", "x^2")
+    theta = rc.integrate_riccati(h, 2.0, 0.0, (0.0, 0.8), tol=1e-12)
+    assert rc.riccati_solution_is_geodesic(spec, theta, "real").passes
+    report = rc.riccati_solution_is_geodesic(spec, _NanSecondDerivative(theta), "real")
+    assert np.isnan(report.geodesic_sup) and not report.passes
