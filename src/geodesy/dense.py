@@ -23,8 +23,6 @@ and imaginary parts would change the rounding.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import BPoly
-from scipy.special import comb, poch
 
 from .errors import OutsideSupportError
 
@@ -40,6 +38,7 @@ class CurveDense:
         if np.any(np.diff(self.nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
         self.orders = len(derivatives)
+        from scipy.interpolate import BPoly  # imported here: importing geodesy loads no scipy
         self._poly = BPoly(_bernstein_coefficients(self.nodes, derivatives), self.nodes)
         self._d1_poly = self._poly.derivative()
         self._d2_poly = self._d1_poly.derivative()
@@ -82,6 +81,8 @@ def _bernstein_coefficients(nodes: np.ndarray, derivatives) -> np.ndarray:
     """Bernstein coefficients, shape (2 * orders, intervals), of the Hermite
     interpolant of ``derivatives[k][i]`` (the k-th derivative at ``nodes[i]``).
     """
+    from scipy.special import comb, poch
+
     data = [np.asarray(d) for d in derivatives]
     dtype = complex if any(np.iscomplexobj(d) for d in data) else float
     ya = [d[:-1].astype(dtype) for d in data]

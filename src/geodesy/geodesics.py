@@ -18,7 +18,6 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .dense import CurveDense, SegmentedCurve
 from .errors import (
@@ -282,6 +281,7 @@ def integrate_geodesic(spec: GeometrySpec, initial: GeodesicState, s_span,
         turning.terminal = True
         turning.direction = 0
         events = events + [turning]
+    from scipy.integrate import solve_ivp  # imported here: importing geodesy loads no scipy
     sol = solve_ivp(_affine_rhs(spec), (s0, s1), y0, method="RK45",
                     rtol=tol, atol=tol * 1e-2, dense_output=True,
                     events=events, max_step=max_step)
@@ -430,6 +430,7 @@ class ExplicitGeodesic:
 def _solve_run(rhs, span, y0, events, tol: float, max_step: float,
                drop_event_sample: bool = True):
     """One RK45 run: (nodes, states, whether an event stopped it)."""
+    from scipy.integrate import solve_ivp  # imported here: importing geodesy loads no scipy
     sol = solve_ivp(rhs, span, y0, method="RK45", rtol=tol, atol=tol * 1e-2,
                     events=events, max_step=max_step)
     if sol.status == -1:

@@ -26,6 +26,17 @@ Christoffel symbols come either from the closed-form table above or
 generically from order-2 jets of the metric components; the two routes serve
 as mutual oracles. Curvature is always computed from jets.
 
+The jet route works on a leading point axis: metric_at, christoffel_at
+(from_jets), curvature_at and require_in_domain take one point or a (..., n)
+array of points, evaluate h once over the array and build every metric jet,
+symbol and Riemann tensor with a fixed number of array operations; one point
+is the shape-() case of the same code. The closed-form table stays per point.
+A metric counts as singular when the determinant of its row-equilibrated
+matrix (each row divided by its largest modulus) is below 1e-14 in modulus,
+a test without the overflow of a max|g|^n scale. The curvature command checks
+Ric = K g relative to the metric's size, max|Ric - K g| / max(1, max|g|) per
+point, since the absolute gap of a metric near 1e260 is rounding times 1e260.
+
 A constant rescaling beta*G of the holomorphic metric would leave every
 geodesic unchanged and rescale the holomorphic sectional curvature to
 -1/beta; nothing qualitative depends on it, so no scaling knob is exposed
@@ -142,7 +153,7 @@ class GeometrySpec:
 
 @dataclass(frozen=True)
 class MetricValue:
-    components: np.ndarray  # (n, n), symmetric
+    components: np.ndarray  # (..., n, n), symmetric; (n, n) at one point
     signature: str
 
     @property
@@ -152,14 +163,17 @@ class MetricValue:
 
 @dataclass(frozen=True)
 class ChristoffelValue:
-    symbols: np.ndarray  # (n, n, n), symbols[i, j, k] = Gamma^i_{jk}
+    symbols: np.ndarray  # (..., n, n, n), symbols[..., i, j, k] = Gamma^i_{jk}
     coord_names: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    point: tuple
-    ricci: np.ndarray
+    """Curvature at one point (scalar fields) or at a (..., n) array of points
+    (every field with the leading shape (...))."""
+
+    point: np.ndarray  # (..., n)
+    ricci: np.ndarray  # (..., n, n)
     ricci_scalar: complex
     sectional_k: complex | None = None  # sectional / holomorphic sectional (2D)
     einstein_eta: float | None = None  # least-squares eta in Ric = eta*g (kn)
@@ -181,87 +195,116 @@ def chart_pair(spec: GeometrySpec, coords):
     return cast(coords[0]), cast(coords[1])
 
 
+def chart_points(spec: GeometrySpec, points):
+    """:func:`chart_pair` of a (..., n) array of points, as two (...) arrays."""
+    p = np.asarray(points)
+    if spec.dim == 4:
+        p = p.astype(float)
+        return p[..., 0] + 1j * p[..., 2], p[..., 1] + 1j * p[..., 3]
+    p = p.astype(complex if spec.is_complex_chart else float)
+    return p[..., 0], p[..., 1]
+
+
 def den_at(spec: GeometrySpec, t, v):
     """den = h(t) - s*v^2; the singular set of the chart is den = 0."""
     return add_signed(eval_jet2(spec.h, t).value, -spec.facts.sign, v * v)
 
 
-def domain_violation(spec: GeometrySpec, coords, guard: float = EPS_DOM) -> str | None:
-    """Name of the violated domain condition, or None if ``coords`` is interior."""
-    t, v = chart_pair(spec, coords)
+def _domain_masks(spec: GeometrySpec, points, guard: float):
+    """Per point of a (..., n) array: (v within guard of 0, or not positive on a
+    real chart; |den| within guard of 0)."""
+    t, v = chart_points(spec, points)
     den = den_at(spec, t, v)
+    v_bad = ~(np.abs(v) > guard) if np.iscomplexobj(v) else ~(v > guard)
+    return v_bad, np.abs(den) <= guard
+
+
+def _violation_text(spec: GeometrySpec, v_bad: bool) -> str:
     names = spec.coord_names
     if spec.dim == 4:
         t_name, v_name = f"{names[0]} + i*{names[2]}", f"{names[1]} + i*{names[3]}"
     else:
         t_name, v_name = names
-    if isinstance(v, complex):
-        if not abs(v) > guard:
-            return f"{v_name} != 0"
-    elif not v > guard:
-        return f"{v_name} > 0"
-    if abs(den) <= guard:
-        square = f"({v_name})^2" if spec.dim == 4 else f"{v_name}^2"
-        return f"{square} != {'-' if spec.facts.sign < 0 else ''}h({t_name})"
-    return None
+    if v_bad:
+        return f"{v_name} != 0" if spec.facts.h_mode == "complex" else f"{v_name} > 0"
+    square = f"({v_name})^2" if spec.dim == 4 else f"{v_name}^2"
+    return f"{square} != {'-' if spec.facts.sign < 0 else ''}h({t_name})"
+
+
+def domain_violation(spec: GeometrySpec, coords, guard: float = EPS_DOM) -> str | None:
+    """Name of the violated domain condition, or None if ``coords`` is interior."""
+    v_bad, den_bad = _domain_masks(spec, coords, guard)
+    return _violation_text(spec, v_bad) if v_bad or den_bad else None
 
 
 def require_in_domain(spec: GeometrySpec, coords, guard: float = EPS_DOM) -> None:
-    violated = domain_violation(spec, coords, guard)
-    if violated is not None:
+    """Raise OutOfDomainError at the first point of ``coords`` (one point or a
+    (..., n) array of points) outside the domain, naming its condition."""
+    points = np.asarray(coords)
+    v_bad, den_bad = _domain_masks(spec, points, guard)
+    bad = np.flatnonzero(v_bad | den_bad)
+    if bad.size:
+        first = bad[0]
+        point = tuple(points.reshape(-1, points.shape[-1])[first].tolist())
         raise OutOfDomainError(
-            f"point {tuple(coords)} violates {violated} for {spec.family.value}")
+            f"point {point} violates {_violation_text(spec, v_bad.ravel()[first])} "
+            f"for {spec.family.value}")
 
 
 # --- metric components as order-2 jets ----------------------------------------
 
-def _metric_taylor(spec: GeometrySpec, coords) -> np.ndarray:
-    """(n, n) object array of Taylor2 metric components at ``coords``."""
+def _stack(components: dict, n: int):
+    """Value, gradient and Hessian arrays of a metric given as {(j, k): Taylor2}
+    (zero elsewhere): g0 (..., n, n), dg (..., l, j, k) = d_l g_jk and
+    d2g (..., l, m, j, k) = d_l d_m g_jk."""
+    first = next(iter(components.values()))
+    shape, dtype = np.shape(first.value), first.grad.dtype
+    g0 = np.zeros(shape + (n, n), dtype)
+    dg = np.zeros(shape + (n, n, n), dtype)
+    d2g = np.zeros(shape + (n, n, n, n), dtype)
+    for (j, k), c in components.items():
+        g0[..., j, k] = c.value
+        dg[..., :, j, k] = c.grad
+        d2g[..., :, :, j, k] = c.hess
+    return g0, dg, d2g
+
+
+def _metric_taylor(spec: GeometrySpec, points):
+    """(g0, dg, d2g) of the metric at a (..., n) array of chart points, with
+    one array evaluation of h; see :func:`_stack` for the shapes."""
+    t, v = chart_points(spec, points)
+    h = eval_jet2(spec.h, t)
     if spec.dim == 2:
-        dtype = np.complex128 if spec.is_complex_chart else np.float64
-        t, v = chart_pair(spec, coords)
-        tt = Taylor2.coordinate(t, 0, 2, dtype)
-        vt = Taylor2.coordinate(v, 1, 2, dtype)
+        tt = Taylor2.coordinate(t, 0, 2, v.dtype)
+        vt = Taylor2.coordinate(v, 1, 2, v.dtype)
         v2 = vt * vt
-        den = add_signed(compose_jet(eval_jet2(spec.h, t), tt), -spec.facts.sign, v2)
+        den = add_signed(compose_jet(h, tt), -spec.facts.sign, v2)
         e0, e1 = spec.facts.signature
-        g00 = signed(e0, den * den) / v2
-        g11 = signed(e1, 1.0) / v2
-        zero = Taylor2.constant(0.0, 2, dtype)
-        return np.array([[g00, zero], [zero, g11]], dtype=object)
+        return _stack({(0, 0): signed(e0, den * den) / v2, (1, 1): signed(e1, 1.0) / v2}, 2)
     # Kähler-Norden: explicit 4D components in terms of h_Re, h_Im, Delta+-
-    x, phi, y, psi = (float(c) for c in coords)
-    xt = Taylor2.coordinate(x, 0, 4, np.complex128)
-    pt = Taylor2.coordinate(phi, 1, 4, np.complex128)
-    yt = Taylor2.coordinate(y, 2, 4, np.complex128)
-    st = Taylor2.coordinate(psi, 3, 4, np.complex128)
-    ht = compose_jet(eval_jet2(spec.h, complex(x, y)), xt + 1j * yt)
+    xt, pt, yt, st = (Taylor2.coordinate(c, k, 4, np.complex128)
+                      for k, c in enumerate((t.real, v.real, t.imag, v.imag)))
+    ht = compose_jet(h, xt + 1j * yt)
     h_re, h_im = ht.real(), ht.imag()
     d_plus = pt * pt + st * st
     d_minus = pt * pt - st * st
     dp2 = d_plus * d_plus
     a = (d_minus * (dp2 + h_re * h_re - h_im * h_im)
          + 4.0 * pt * st * h_re * h_im - 2.0 * dp2 * h_re) / dp2
-    b = -2.0 * (pt * h_im - st * (d_plus + h_re)) * (st * h_im - pt * (d_plus - h_re)) / dp2
+    b = (-2.0 * (pt * h_im - st * (d_plus + h_re)) * (st * h_im - pt * (d_plus - h_re))
+         / dp2).real()
     g_pp = d_minus / dp2
-    g_ps = 2.0 * pt * st / dp2
-    g = np.full((4, 4), Taylor2.constant(0.0, 4), dtype=object)
-    g[0, 0] = a.real()
-    g[2, 2] = (-a).real()
-    g[0, 2] = g[2, 0] = b.real()
-    g[1, 1] = g_pp.real()
-    g[3, 3] = (-g_pp).real()
-    g[1, 3] = g[3, 1] = g_ps.real()
-    return g
+    g_ps = (2.0 * pt * st / dp2).real()
+    return _stack({(0, 0): a.real(), (2, 2): (-a).real(), (0, 2): b, (2, 0): b,
+                   (1, 1): g_pp.real(), (3, 3): (-g_pp).real(), (1, 3): g_ps, (3, 1): g_ps},
+                  4)
 
 
 def metric_at(spec: GeometrySpec, coords) -> MetricValue:
-    """Metric components at a chart point."""
+    """Metric components at a chart point, or at each point of a (..., n) array."""
     require_in_domain(spec, coords)
-    gt = _metric_taylor(spec, coords)
-    n = spec.dim
-    comp = np.array([[gt[i, j].value for j in range(n)] for i in range(n)])
-    return MetricValue(comp, spec.facts.signature_text)
+    g0, _, _ = _metric_taylor(spec, coords)
+    return MetricValue(g0, spec.facts.signature_text)
 
 
 # --- Christoffel symbols --------------------------------------------------------
@@ -282,7 +325,7 @@ def _symbol_table(s: int, h: Jet2, v) -> np.ndarray:
 
 
 def complexify_christoffel(ups: np.ndarray) -> np.ndarray:
-    """4D real symbols induced by holomorphic 2x2x2 symbols.
+    """4D real symbols (..., 4, 4, 4) induced by holomorphic ones (..., 2, 2, 2).
 
     Real coordinates are ordered (x, Phi, y, Psi): holomorphic index a maps to
     real part a and imaginary part a + 2. Matching Re/Im of
@@ -291,25 +334,25 @@ def complexify_christoffel(ups: np.ndarray) -> np.ndarray:
         real upper index:  (re,re) -> A, (re,im) -> -B, (im,im) -> -A
         imag upper index:  (re,re) -> B, (re,im) ->  A, (im,im) -> -B
     """
-    out = np.zeros((4, 4, 4))
+    out = np.zeros(ups.shape[:-3] + (4, 4, 4))
     for c, a, b in product(range(2), repeat=3):
-        u = ups[c, a, b]
+        u = ups[..., c, a, b]
         re_c, im_c = c, c + 2
         re_a, im_a = a, a + 2
         re_b, im_b = b, b + 2
-        out[re_c, re_a, re_b] = u.real
-        out[re_c, re_a, im_b] = -u.imag
-        out[re_c, im_a, re_b] = -u.imag
-        out[re_c, im_a, im_b] = -u.real
-        out[im_c, re_a, re_b] = u.imag
-        out[im_c, re_a, im_b] = u.real
-        out[im_c, im_a, re_b] = u.real
-        out[im_c, im_a, im_b] = -u.imag
+        out[..., re_c, re_a, re_b] = u.real
+        out[..., re_c, re_a, im_b] = -u.imag
+        out[..., re_c, im_a, re_b] = -u.imag
+        out[..., re_c, im_a, im_b] = -u.real
+        out[..., im_c, re_a, re_b] = u.imag
+        out[..., im_c, re_a, im_b] = u.real
+        out[..., im_c, im_a, re_b] = u.real
+        out[..., im_c, im_a, im_b] = -u.imag
     return out
 
 
 def christoffel_table(spec: GeometrySpec, coords) -> np.ndarray:
-    """Closed-form Gamma^i_{jk} as a bare array, without domain validation.
+    """Closed-form Gamma^i_{jk} at one point as a bare array, without domain validation.
 
     Integrator right-hand sides call this on every step; boundary handling is
     the event machinery's job there, so no checks are repeated here. The kn
@@ -320,56 +363,51 @@ def christoffel_table(spec: GeometrySpec, coords) -> np.ndarray:
     return complexify_christoffel(gam) if spec.dim == 4 else gam
 
 
-def _grad_arrays(gt: np.ndarray):
-    """Split an (n, n) Taylor2 matrix into value/gradient/hessian ndarrays."""
-    n = gt.shape[0]
-    dtype = np.result_type(*(np.asarray(gt[i, j].value).dtype for i in range(n) for j in range(n)))
-    g0 = np.empty((n, n), dtype)
-    dg = np.empty((n, n, n), dtype)  # dg[l, j, k] = d_l g_jk
-    d2g = np.empty((n, n, n, n), dtype)  # d2g[l, m, j, k] = d_l d_m g_jk
-    for j, k in product(range(n), repeat=2):
-        t = gt[j, k]
-        g0[j, k] = t.value
-        dg[:, j, k] = t.grad
-        d2g[:, :, j, k] = t.hess
-    return g0, dg, d2g
-
-
 def _invert_metric(g0: np.ndarray) -> np.ndarray:
-    det = np.linalg.det(g0)
-    scale = max(np.max(np.abs(g0)), 1.0) ** g0.shape[0]
-    if abs(det) < 1e-14 * scale:
-        raise SingularMetricError(f"metric determinant {det} too close to zero")
+    """g^-1 of a (..., n, n) stack of metrics.
+
+    A metric is singular when its determinant, with each row divided by its
+    largest modulus, is below 1e-14 in modulus: the test is scale-free, so a
+    regular metric with entries near 1e260 passes and a nearly singular one
+    fails at any scale.
+    """
+    rows = np.max(np.abs(g0), axis=-1, keepdims=True)
+    det = np.linalg.det(g0 / np.where(rows > 0, rows, 1.0))
+    singular = np.flatnonzero(np.abs(det) < 1e-14)
+    if singular.size:
+        raise SingularMetricError(
+            f"row-equilibrated metric determinant {det.ravel()[singular[0]]} "
+            f"too close to zero")
     return np.linalg.inv(g0)
 
 
-def _christoffel_from_jets(gt: np.ndarray):
-    """Gamma and its first derivatives from jets of the metric components."""
-    g0, dg, d2g = _grad_arrays(gt)
+def _christoffel_from_jets(g0: np.ndarray, dg: np.ndarray, d2g: np.ndarray):
+    """g^-1, Gamma and its first derivatives from the metric jets of :func:`_stack`."""
     ginv = _invert_metric(g0)
     # T[l, j, k] = d_k g_lj + d_j g_lk - d_l g_jk
-    T = np.einsum("klj->ljk", dg) + np.einsum("jlk->ljk", dg) - dg
-    gamma = 0.5 * np.einsum("il,ljk->ijk", ginv, T)
-    dginv = -np.einsum("ip,mpq,ql->mil", ginv, dg, ginv)
-    Tm = (np.einsum("kmlj->mljk", d2g) + np.einsum("jmlk->mljk", d2g)
-          - np.einsum("lmjk->mljk", d2g))
-    dgamma = 0.5 * (np.einsum("mil,ljk->mijk", dginv, T)
-                    + np.einsum("il,mljk->mijk", ginv, Tm))
-    return g0, ginv, gamma, dgamma
+    T = np.einsum("...klj->...ljk", dg) + np.einsum("...jlk->...ljk", dg) - dg
+    gamma = 0.5 * np.einsum("...il,...ljk->...ijk", ginv, T)
+    dginv = -np.einsum("...ip,...mpq,...ql->...mil", ginv, dg, ginv)
+    Tm = (np.einsum("...kmlj->...mljk", d2g) + np.einsum("...jmlk->...mljk", d2g)
+          - np.einsum("...lmjk->...mljk", d2g))
+    dgamma = 0.5 * (np.einsum("...mil,...ljk->...mijk", dginv, T)
+                    + np.einsum("...il,...mljk->...mijk", ginv, Tm))
+    return ginv, gamma, dgamma
 
 
 def christoffel_at(spec: GeometrySpec, coords, method: str = "closed_form") -> ChristoffelValue:
     """Christoffel symbols Gamma^i_{jk} at a point.
 
-    ``closed_form`` uses the per-family tables; ``from_jets`` differentiates
-    the metric components via order-2 jets and applies
-    Gamma^i_jk = (1/2) g^{il} (g_{lj,k} + g_{lk,j} - g_{jk,l}).
+    ``closed_form`` uses the per-family tables at one point; ``from_jets``
+    differentiates the metric components via order-2 jets and applies
+    Gamma^i_jk = (1/2) g^{il} (g_{lj,k} + g_{lk,j} - g_{jk,l}), at one point
+    or at each point of a (..., n) array (symbols of shape (..., n, n, n)).
     """
     require_in_domain(spec, coords)
     if method == "closed_form":
         return ChristoffelValue(christoffel_table(spec, coords), spec.coord_names)
     if method == "from_jets":
-        _, _, gamma, _ = _christoffel_from_jets(_metric_taylor(spec, coords))
+        _, gamma, _ = _christoffel_from_jets(*_metric_taylor(spec, coords))
         return ChristoffelValue(gamma, spec.coord_names)
     raise ValueError(f"unknown method {method!r}")
 
@@ -378,43 +416,48 @@ def christoffel_at(spec: GeometrySpec, coords, method: str = "closed_form") -> C
 
 def _riemann(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     """R^i_jkl = Gamma^i_jl,k - Gamma^i_jk,l + Gamma^i_mk Gamma^m_jl - Gamma^i_ml Gamma^m_jk."""
-    return (np.einsum("kijl->ijkl", dgamma) - np.einsum("lijk->ijkl", dgamma)
-            + np.einsum("imk,mjl->ijkl", gamma, gamma)
-            - np.einsum("iml,mjk->ijkl", gamma, gamma))
+    return (np.einsum("...kijl->...ijkl", dgamma) - np.einsum("...lijk->...ijkl", dgamma)
+            + np.einsum("...imk,...mjl->...ijkl", gamma, gamma)
+            - np.einsum("...iml,...mjk->...ijkl", gamma, gamma))
 
 
 def _riemann_at(spec: GeometrySpec, coords):
-    """(g, g^-1, R^i_jkl) at a domain point, from jets of the metric."""
+    """(g, g^-1, R^i_jkl) at domain points, from jets of the metric."""
     require_in_domain(spec, coords)
-    g0, ginv, gamma, dgamma = _christoffel_from_jets(_metric_taylor(spec, coords))
+    g0, dg, d2g = _metric_taylor(spec, coords)
+    ginv, gamma, dgamma = _christoffel_from_jets(g0, dg, d2g)
     return g0, ginv, _riemann(gamma, dgamma)
 
 
 def curvature_at(spec: GeometrySpec, coords) -> CurvatureReport:
     """Curvature quantities from jet-differentiated Christoffel symbols.
 
-    2D families report the sectional curvature (holomorphic sectional for the
-    complex family, where the same quotient of complex quantities applies);
-    the 4D family reports the least-squares Einstein constant with its fit
-    residual instead.
+    ``coords`` is one point or a (..., n) array of points; every field of the
+    report then carries the leading shape (...), so a whole sample costs a
+    fixed number of array operations. 2D families report the sectional
+    curvature (holomorphic sectional for the complex family, where the same
+    quotient of complex quantities applies); the 4D family reports the
+    least-squares Einstein constant with its fit residual instead.
     """
-    g0, ginv, riem = _riemann_at(spec, coords)
-    ricci = np.einsum("kjkl->jl", riem)
-    scalar = np.einsum("jl,jl->", ginv, ricci)
+    points = np.asarray(coords)
+    g0, ginv, riem = _riemann_at(spec, points)
+    ricci = np.einsum("...kjkl->...jl", riem)
+    scalar = np.einsum("...jl,...jl->...", ginv, ricci)
     if spec.dim == 2:
-        r_low = np.einsum("im,mjkl->ijkl", g0, riem)
-        k = r_low[0, 1, 0, 1] / (g0[0, 0] * g0[1, 1] - g0[0, 1] * g0[1, 0])
-        return CurvatureReport(tuple(coords), ricci, scalar, sectional_k=k)
+        r0101 = np.einsum("...m,...m->...", g0[..., 0, :], riem[..., :, 1, 0, 1])
+        k = r0101 / (g0[..., 0, 0] * g0[..., 1, 1] - g0[..., 0, 1] * g0[..., 1, 0])
+        return CurvatureReport(points, ricci, scalar[()], sectional_k=k[()])
     ricci, scalar, g0 = ricci.real, scalar.real, g0.real
     iu = np.triu_indices(4)
-    eta = float(np.dot(ricci[iu], g0[iu]) / np.dot(g0[iu], g0[iu]))
-    residual = float(np.max(np.abs(ricci - eta * g0)))
-    return CurvatureReport(tuple(coords), ricci, scalar,
-                           einstein_eta=eta, einstein_fit_residual=residual)
+    r_up, g_up = ricci[..., iu[0], iu[1]], g0[..., iu[0], iu[1]]
+    eta = np.einsum("...k,...k->...", r_up, g_up) / np.einsum("...k,...k->...", g_up, g_up)
+    residual = np.max(np.abs(ricci - eta[..., None, None] * g0), axis=(-2, -1))
+    return CurvatureReport(points, ricci, scalar[()],
+                           einstein_eta=eta[()], einstein_fit_residual=residual[()])
 
 
 def plane_sectional_curvature(spec: GeometrySpec, coords, u, v) -> float:
-    """Sectional curvature of the plane spanned by tangent vectors u, v."""
+    """Sectional curvature of the plane spanned by tangent vectors u, v at one point."""
     g0, _, riem = _riemann_at(spec, coords)
     r_low = np.einsum("im,mjkl->ijkl", g0, riem)
     u = np.asarray(u, dtype=g0.dtype)

@@ -26,6 +26,7 @@ from .geometry import (
     Family,
     GeometrySpec,
     chart_pair,
+    chart_points,
     christoffel_at,
     christoffel_table,
     complexify_christoffel,
@@ -62,10 +63,9 @@ class KNPoint:
         return (self.x, self.phi, self.y, self.psi)
 
 
-def _coords(p) -> tuple[float, float, float, float]:
-    if isinstance(p, KNPoint):
-        return p.as_tuple()
-    return tuple(float(c) for c in p)
+def _coords(p) -> np.ndarray:
+    """Chart points (x, Phi, y, Psi) as a float array of shape (..., 4)."""
+    return np.asarray(p.as_tuple() if isinstance(p, KNPoint) else p, dtype=float)
 
 
 def _require_kn(spec: GeometrySpec) -> GeometrySpec:
@@ -75,61 +75,61 @@ def _require_kn(spec: GeometrySpec) -> GeometrySpec:
     return GeometrySpec(Family.COMPLEX_SPHERE, spec.h)
 
 
-def _holomorphic_columns(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """z = x + iy and X = Phi + i Psi of samples with columns (x, Phi, y, Psi)."""
-    return samples[:, 0] + 1j * samples[:, 2], samples[:, 1] + 1j * samples[:, 3]
-
-
-def cauchy_riemann_residual(h: Expression, x: float, y: float,
-                            step: float = 1e-5) -> tuple[float, float]:
+def cauchy_riemann_residual(h: Expression, x, y, step: float = 1e-5) -> tuple:
     """Residuals of the two Cauchy-Riemann equations for Re h, Im h.
 
     The x-partials come exactly from the holomorphic jet; the y-partials from
     a central difference along the imaginary direction with the given step,
     so the identity is probed across two genuinely different evaluations.
+    ``x`` and ``y`` may be arrays of points; each residual then has their shape.
     """
-    z = complex(x, y)
+    z = np.asarray(x) + 1j * np.asarray(y)
     dx = eval_jet2(h, z).d1
     dy = (eval_jet2(h, z + 1j * step).value - eval_jet2(h, z - 1j * step).value) / (2 * step)
-    return abs(dx.real - dy.imag), abs(dy.real + dx.imag)
+    return np.abs(dx.real - dy.imag), np.abs(dy.real + dx.imag)
+
+
+# Re[G_ab dZ^a dZ^b] = Re[G_zz dz dz + G_XX dX dX] over (x, Phi, y, Psi)
+_DZ = np.array([1.0, 0.0, 1.0j, 0.0])
+_DX = np.array([0.0, 1.0, 0.0, 1.0j])
+_DZ_DZ, _DX_DX = np.outer(_DZ, _DZ), np.outer(_DX, _DX)
 
 
 def kn_metric_from_correspondence(spec: GeometrySpec, p) -> np.ndarray:
-    """Re[G_ab dZ^a dZ^b] written out over (x, Phi, y, Psi)."""
+    """Re[G_ab dZ^a dZ^b] written out over (x, Phi, y, Psi), at one point or
+    at each point of a (..., 4) array."""
     _require_kn(spec)
-    z, X = chart_pair(spec, _coords(p))
+    z, X = chart_points(spec, _coords(p))
     h = eval_jet2(spec.h, z).value
     g_zz = (h - X * X) ** 2 / (X * X)
     g_xx = 1.0 / (X * X)
-    big_g = np.array([[g_zz, 0.0], [0.0, g_xx]])
-    jac = np.array([[1.0, 0.0, 1.0j, 0.0],
-                    [0.0, 1.0, 0.0, 1.0j]])
-    return (jac.T @ big_g @ jac).real
+    return (g_zz[..., None, None] * _DZ_DZ + g_xx[..., None, None] * _DX_DX).real
 
 
-def kn_metric_consistency(spec: GeometrySpec, p) -> float:
-    """Sup-norm gap between the explicit 4D components and Re[G dZ dZ]."""
+def kn_metric_consistency(spec: GeometrySpec, p):
+    """Sup-norm gap between the explicit 4D components and Re[G dZ dZ]: a
+    float at one point, an array of gaps over a (..., 4) array of points."""
     coords = _coords(p)
-    require_in_domain(spec, coords)
     explicit = metric_at(spec, coords).components
     built = kn_metric_from_correspondence(spec, coords)
-    return float(np.max(np.abs(explicit - built)))
+    return np.max(np.abs(explicit - built), axis=(-2, -1))
 
 
 _UPS_NAMES = {(0, 0, 0): "U^z_zz", (0, 0, 1): "U^z_zX",
               (1, 0, 0): "U^X_zz", (1, 1, 1): "U^X_XX"}
-_COORD = ("x", "Phi", "y", "Psi")
 
 
 @dataclass(frozen=True)
 class KNChristoffelReport:
+    # floats at one point, arrays over the points of a (..., 4) array
     max_violation: float  # |4D jets symbols - complexified holomorphic ones|
     off_pattern_max: float  # largest symbol where the pattern says zero
     identities: dict[str, float]  # per displayed identity group
 
     @property
     def worst(self) -> float:
-        # np.max keeps a NaN (the builtin max drops it unless it comes first)
+        """The largest deviation over every point; np.max keeps a NaN (the
+        builtin max drops it unless it comes first)."""
         return float(np.max([self.max_violation, self.off_pattern_max,
                              *self.identities.values()]))
 
@@ -137,32 +137,33 @@ class KNChristoffelReport:
 def kn_christoffel_correspondence(spec: GeometrySpec, p) -> KNChristoffelReport:
     """Check the 4D Christoffel symbols against the holomorphic ones.
 
-    The 4D symbols are differentiated out of the explicit metric components;
-    the holomorphic table is complexified independently. Reported are the
+    The 4D symbols are differentiated out of the explicit metric components,
+    for all points in one array pass; the holomorphic table is evaluated point
+    by point, an independent oracle, and complexified. Reported are the
     all-slot mismatch, the largest symbol outside the correspondence pattern,
     and each displayed Re/Im identity group separately.
     """
     coords = _coords(p)
-    require_in_domain(spec, coords)
     hat = christoffel_at(spec, coords, "from_jets").symbols
-    ups = christoffel_table(_require_kn(spec), chart_pair(spec, coords))
+    spec_c = _require_kn(spec)
+    ups = np.array([christoffel_table(spec_c, chart_pair(spec, q))
+                    for q in coords.reshape(-1, 4)]).reshape(coords.shape[:-1] + (2, 2, 2))
     expected = complexify_christoffel(ups)
-    max_violation = float(np.max(np.abs(hat - expected)))
-    pattern = np.abs(expected) > 0
-    off = np.abs(hat)[~pattern]
-    off_pattern_max = float(off.max()) if off.size else 0.0
-    identities: dict[str, float] = {}
+    every = (-3, -2, -1)
+    max_violation = np.max(np.abs(hat - expected), axis=every)
+    off_pattern_max = np.max(np.where(np.abs(expected) > 0, 0.0, np.abs(hat)), axis=every)
+    identities = {}
     for (c, a, b), name in _UPS_NAMES.items():
-        u = ups[c, a, b]
+        u = ups[..., c, a, b]
         re_c, im_c, re_a, im_a, re_b, im_b = c, c + 2, a, a + 2, b, b + 2
-        re_dev = max(abs(hat[re_c, re_a, re_b] - u.real),
-                     abs(hat[im_c, re_a, im_b] - u.real),
-                     abs(hat[re_c, im_a, im_b] + u.real))
-        im_dev = max(abs(hat[im_c, re_a, re_b] - u.imag),
-                     abs(hat[re_c, re_a, im_b] + u.imag),
-                     abs(hat[im_c, im_a, im_b] + u.imag))
-        identities[f"Re[{name}]"] = float(re_dev)
-        identities[f"Im[{name}]"] = float(im_dev)
+        re_dev = np.max(np.abs([hat[..., re_c, re_a, re_b] - u.real,
+                                hat[..., im_c, re_a, im_b] - u.real,
+                                hat[..., re_c, im_a, im_b] + u.real]), axis=0)
+        im_dev = np.max(np.abs([hat[..., im_c, re_a, re_b] - u.imag,
+                                hat[..., re_c, re_a, im_b] + u.imag,
+                                hat[..., im_c, im_a, im_b] + u.imag]), axis=0)
+        identities[f"Re[{name}]"] = re_dev
+        identities[f"Im[{name}]"] = im_dev
     return KNChristoffelReport(max_violation, off_pattern_max, identities)
 
 
@@ -190,7 +191,7 @@ def kn_geodesic_split(spec: GeometrySpec, initial: GeodesicState, s_span,
     basis reconstructed in the complex chart.
     """
     spec_c = _require_kn(spec)
-    coords = _coords(initial.coords)
+    coords = tuple(_coords(initial.coords).tolist())
     require_in_domain(spec, coords)
     vel = tuple(float(v) for v in initial.velocity)
     traj4 = integrate_geodesic(spec, GeodesicState(coords, vel), s_span, tol=rk_tol)
@@ -209,9 +210,9 @@ def kn_geodesic_split(spec: GeometrySpec, initial: GeodesicState, s_span,
 
 
 def _split_basis_gap(spec, spec_c, traj4, trajc) -> float:
-    zs, Xs = _holomorphic_columns(traj4.coords)
-    vzs, vXs = _holomorphic_columns(traj4.velocities)
-    azs, aXs = _holomorphic_columns(accelerations(spec, traj4.coords, traj4.velocities))
+    zs, Xs = chart_points(spec, traj4.coords)
+    vzs, vXs = chart_points(spec, traj4.velocities)
+    azs, aXs = chart_points(spec, accelerations(spec, traj4.coords, traj4.velocities))
 
     def z_part(s, which):
         """z (which = 0) or dz/ds (which = 1) of the 4D trajectory at s."""

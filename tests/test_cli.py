@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from geodesy import cli
@@ -214,12 +215,12 @@ def test_complex_solve_against_brute_force_rk(capsys):
 def test_a_nan_deviation_fails_its_check(capsys, monkeypatch, argv, field, check):
     """One NaN among the sampled points must fail the check, not vanish in a max."""
     original = cli.curvature_at
-    calls = []
 
-    def nan_at_third_point(spec, p):
-        rep = original(spec, p)
-        calls.append(p)
-        return dataclasses.replace(rep, **{field: math.nan}) if len(calls) == 3 else rep
+    def nan_at_third_point(spec, pts):
+        rep = original(spec, pts)  # one call for every point of the case
+        values = getattr(rep, field).copy()
+        values[2] = math.nan
+        return dataclasses.replace(rep, **{field: values})
 
     monkeypatch.setattr(cli, "curvature_at", nan_at_third_point)
     code, out, _ = run_cli(capsys, *argv, "--set", "points=6")
@@ -274,8 +275,9 @@ def test_a_nan_deviation_is_written_as_strict_json(capsys, monkeypatch):
     """stdout parses under a strict reader: NaN becomes the string "nan"."""
     original = cli.curvature_at
 
-    def nan_everywhere(spec, p):
-        return dataclasses.replace(original(spec, p), sectional_k=math.nan)
+    def nan_everywhere(spec, pts):
+        rep = original(spec, pts)
+        return dataclasses.replace(rep, sectional_k=np.full_like(rep.sectional_k, math.nan))
 
     monkeypatch.setattr(cli, "curvature_at", nan_everywhere)
     code, out, _ = run_cli(capsys, "curvature", "--family", "hyperbolic",
@@ -335,3 +337,61 @@ def test_verify_all_is_deterministic_within_one_process(capsys):
     assert first[0] == second[0] == 0
     assert (_without_wall_time(json.loads(first[1]))
             == _without_wall_time(json.loads(second[1])))
+
+
+def test_curvature_of_exp_150x_passes(capsys):
+    """Metric entries up to about 1e260: no false singular metric, and the
+    Ricci check relative to the metric's size."""
+    code, out, _ = run_cli(capsys, "curvature", "--family", "hyperbolic",
+                           "--h", "exp(150*x)", "--set", "points=40")
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("h, point", [("x^2+2", (0.0, 1.5)),
+                                      ("exp(150*x)", (1.535, 1.0))])
+def test_ricci_proportional_is_relative_to_the_metric(capsys, monkeypatch, h, point):
+    """Ric off by 1e-5 g fails at a point with |g| < 1 and at one with
+    |g| near 1e200; the exact Ricci tensor passes at both."""
+    from conftest import make_spec
+    size = np.max(np.abs(cli.metric_at(make_spec("hyperbolic", h), point).components))
+    assert size < 1 or 1e199 < size < 1e201
+    monkeypatch.setattr(cli, "sample_domain_points", lambda spec, rng, count: np.array([point] * 3))
+    argv = ("curvature", "--family", "hyperbolic", "--h", h, "--set", "points=3")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    original = cli.curvature_at
+
+    def off_by_1e5_g(spec, pts):
+        rep = original(spec, pts)
+        return dataclasses.replace(rep, ricci=rep.ricci + 1e-5 * cli.metric_at(spec, pts).components)
+
+    monkeypatch.setattr(cli, "curvature_at", off_by_1e5_g)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert [c["name"] for c in json.loads(out)["checks"] if not c["pass"]] == ["ricci_proportional"]
+
+
+def test_curvature_command_loads_no_scipy():
+    """Importing geodesy and running the curvature command of every family
+    leaves scipy unloaded, in a fresh interpreter."""
+    import os
+    import subprocess
+    import sys
+
+    import geodesy
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geodesy.__file__)))
+    program = (
+        "import json, sys\n"
+        "import geodesy\n"
+        "from geodesy import cli\n"
+        "codes = [cli.main(['curvature', '--family', f, '--h', h, '--set', 'points=5'])\n"
+        "         for f, h in [('hyperbolic', 'sin(x)+3'), ('ads+', 'x^2+2'), ('ads-', '-1'),\n"
+        "                      ('complex', 'z^2+1'), ('kn', 'exp(z)')]]\n"
+        "print(json.dumps({'codes': codes, 'scipy': sorted(\n"
+        "    m for m in sys.modules if m.split('.')[0] == 'scipy')}))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0, 0, 0, 0], "scipy": []}

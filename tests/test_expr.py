@@ -186,6 +186,31 @@ def test_array_jets_equal_scalar_jets(tree, xs):
         assert np.allclose(got, parts[:, k], rtol=1e-9, atol=1e-9 * scale)
 
 
+COMPLEX_STEP = 1e-20
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees(st.one_of(_literals, st.just(Variable("x")))), st.floats(-2.0, 2.0))
+def test_jet_first_derivative_equals_the_complex_step(tree, x):
+    """d1 of a real jet against the complex step Im f(x + i*1e-20)/1e-20,
+    which subtracts nothing and so is good to rounding (Squire and Trapp).
+    Trees whose complex extension leaves the real branch are skipped: the real
+    evaluation raises there (log or sqrt of a negative, a fractional power of
+    one), and so does a domain error of the stepped evaluation."""
+    e = expr.Expression(tree, "real", expr._render(tree, 0))
+    try:
+        jet = eval_jet2(e, x)
+        stepped = eval_jet2(e, complex(x, COMPLEX_STEP)).value
+    except (DomainError, OverflowError, ZeroDivisionError):
+        assume(False)
+    assume(all(map(math.isfinite, (jet.value, jet.d1, stepped.real, stepped.imag))))
+    scale = _jet_scale(tree, x)
+    assume(scale < 1e8)
+    # the real part is the value, to rounding: the stepped point stays on the branch
+    assert abs(stepped.real - jet.value) <= 1e-12 * scale
+    assert abs(stepped.imag / COMPLEX_STEP - jet.d1) <= 1e-10 * scale
+
+
 @pytest.mark.parametrize("source, bad", [
     ("log(x)", 0.0), ("log(x)", -0.5), ("sqrt(x)", 0.0), ("sqrt(x)", -2.0),
     ("sqrt(x-1)", 1.0),

@@ -269,3 +269,85 @@ def test_closed_form_and_jet_christoffels_agree(family, data):
     jets = christoffel_at(spec, point, "from_jets").symbols
     scale = max(1.0, float(np.max(np.abs(closed))))
     assert np.max(np.abs(closed - jets)) <= 1e-9 * scale
+
+
+def test_singular_test_is_scale_free():
+    """|det| of the row-equilibrated metric decides, whatever the scale."""
+    geo._invert_metric(np.diag([1e250, 1.0]))
+    geo._invert_metric(np.array([[2.0, 1.0], [1.0, 3.0]]) * 1e250)
+    with pytest.raises(SingularMetricError):
+        geo._invert_metric(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]) * 1e200)
+    # one singular metric in a stack is enough
+    with pytest.raises(SingularMetricError):
+        geo._invert_metric(np.array([np.eye(2), [[1.0, 1.0], [1.0, 1.0]], np.eye(2)]))
+
+
+def test_curvature_of_a_metric_near_1e260():
+    """h = exp(150 x) at x = 2: g_xx is about 1e260, K is still -1."""
+    spec = make_spec("hyperbolic", "exp(150*x)")
+    p = (2.0, 1.3)
+    assert np.max(np.abs(metric_at(spec, p).components)) > 1e259
+    assert abs(curvature_at(spec, p).sectional_k + 1.0) < 1e-12
+
+
+def test_a_batch_with_one_point_outside_raises_naming_it():
+    spec = make_spec("hyperbolic", "4+0*x")  # den = 0 at Phi = 2
+    pts = np.array([[0.1, 1.0], [0.2, 1.5], [0.0, 2.0], [0.3, -1.0]])
+    for call in (curvature_at, metric_at):
+        with pytest.raises(OutOfDomainError,
+                           match=r"^point \(0\.0, 2\.0\) violates Phi\^2 != h\(x\) "
+                                 r"for hyperbolic$"):
+            call(spec, pts)
+    with pytest.raises(OutOfDomainError, match=r"point \(0\.3, -1\.0\) violates Phi > 0"):
+        curvature_at(spec, pts[[0, 1, 3]])
+
+
+_BATCH_POOLS = {**_FAMILY_POOLS, "kn": ["z^2+1", "exp(z)", "z", "sin(z)"]}
+
+
+def _draw_point(data, family: str) -> tuple:
+    coord = st.floats(-2.0, 2.0)
+    if family == "kn":
+        x, y = data.draw(coord) / 2, data.draw(coord) / 2
+        return (x, data.draw(coord), y, data.draw(coord))  # (x, Phi, y, Psi)
+    if family == "complex":
+        return (complex(data.draw(coord), data.draw(coord)) / 2,
+                complex(data.draw(coord), data.draw(coord)))
+    return (data.draw(coord), data.draw(st.floats(0.2, 3.0)))
+
+
+def _well_inside(spec, p) -> bool:
+    """The sampling rule: |den| > 0.05, and |v| > 0.3 on complex pairs."""
+    _, v = geo.chart_pair(spec, p)
+    return (geo.domain_violation(spec, p, guard=0.05) is None
+            and (not isinstance(v, complex) or abs(v) > 0.3))
+
+
+@pytest.mark.parametrize("family", sorted(_BATCH_POOLS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_batched_curvature_equals_one_point_calls(family, data):
+    """One array call over the points equals the one-point calls entry by
+    entry, meets the family's constant at every point, and its jet symbols
+    equal the closed-form table point by point."""
+    spec = make_spec(family, data.draw(st.sampled_from(_BATCH_POOLS[family])))
+    drawn = [_draw_point(data, family) for _ in range(data.draw(st.integers(1, 8)))]
+    pts = [p for p in drawn if _well_inside(spec, p)]
+    assume(pts)
+    pts = np.array(pts)
+    batch = curvature_at(spec, pts)
+    fields = (("sectional_k", "ricci", "ricci_scalar") if spec.dim == 2
+              else ("einstein_eta", "einstein_fit_residual", "ricci", "ricci_scalar"))
+    for i, p in enumerate(pts):
+        one = curvature_at(spec, p)
+        for name in fields:
+            want = np.asarray(getattr(one, name))
+            got = np.asarray(getattr(batch, name))[i]
+            assert np.all(np.abs(got - want) <= 1e-12 * max(1.0, np.max(np.abs(want)))), name
+    constant = batch.sectional_k if spec.dim == 2 else batch.einstein_eta
+    assert np.all(np.abs(constant - geo.FAMILY_FACTS[spec.family].expected) < 1e-6)
+    jets = christoffel_at(spec, pts, "from_jets").symbols
+    for p, jet in zip(pts, jets):
+        closed = christoffel_at(spec, p, "closed_form").symbols
+        scale = max(1.0, float(np.max(np.abs(closed))))
+        assert np.max(np.abs(closed - jet)) <= 1e-9 * scale

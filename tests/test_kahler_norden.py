@@ -1,5 +1,8 @@
 """4D real picture against the complex chart."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -148,3 +151,44 @@ def test_complex_affine_matches_kn_integration():
         qc, _ = tc.state_at(s)
         assert abs(complex(q4[0], q4[2]) - qc[0]) < 1e-8
         assert abs(complex(q4[1], q4[3]) - qc[1]) < 1e-8
+
+
+def test_batched_kn_checks_equal_one_point_calls():
+    """One array call per check equals the one-point calls entry by entry, to
+    rounding: numpy's array and 0-d exp may differ in the last bit (which the
+    Cauchy-Riemann difference quotient, step 1e-5, scales up to about 1e-11)."""
+    spec = make_spec("kn", "exp(z)")
+    pts = sample_domain_points(spec, np.random.default_rng(13), 7)
+    gaps = kn.kn_metric_consistency(spec, pts)
+    report = kn.kn_christoffel_correspondence(spec, pts)
+    cr = np.array(kn.cauchy_riemann_residual(spec.h, pts[:, 0], pts[:, 2]))
+    assert gaps.shape == report.max_violation.shape == (7,) and cr.shape == (2, 7)
+    for i, p in enumerate(pts):
+        one = kn.kn_christoffel_correspondence(spec, p)
+        batch = [gaps[i], report.max_violation[i], report.off_pattern_max[i],
+                 *(report.identities[k][i] for k in one.identities)]
+        single = [kn.kn_metric_consistency(spec, p), one.max_violation, one.off_pattern_max,
+                  *one.identities.values()]
+        assert np.allclose(batch, single, rtol=0, atol=1e-13)
+        assert np.allclose(cr[:, i], kn.cauchy_riemann_residual(spec.h, p[0], p[2]),
+                           rtol=0, atol=1e-10)
+
+
+def test_a_nan_at_one_point_fails_the_batched_kn_checks(monkeypatch):
+    """A NaN metric or symbol at the third point reaches the reduced figure."""
+    spec = make_spec("kn", "z^2+1")
+    pts = sample_domain_points(spec, np.random.default_rng(3), 5)
+    metric_at, christoffel_at_ = kn.metric_at, kn.christoffel_at
+
+    def nan_at_third(values):
+        values = values.copy()
+        values[2] = np.nan
+        return values
+
+    monkeypatch.setattr(kn, "metric_at", lambda spec, p: dataclasses.replace(
+        metric_at(spec, p), components=nan_at_third(metric_at(spec, p).components)))
+    monkeypatch.setattr(kn, "christoffel_at", lambda spec, p, method: dataclasses.replace(
+        christoffel_at_(spec, p, method), symbols=nan_at_third(christoffel_at_(spec, p, method).symbols)))
+    gaps = kn.kn_metric_consistency(spec, pts)
+    assert np.isnan(gaps[2]) and np.all(np.isfinite(np.delete(gaps, 2)))
+    assert math.isnan(kn.kn_christoffel_correspondence(spec, pts).worst)
