@@ -10,14 +10,24 @@ Evaluation propagates order-2 jets (value, first, second derivative)
 structurally through the tree, so derivatives are exact to roundoff.
 sqrt and log take the principal branch at the evaluation point; branch
 continuity along curves is the caller's concern.
+
+There is one evaluator: the tree is compiled once into nested closures, and
+the same closures run on a real number (with math), a complex one (cmath)
+or an ndarray of points (numpy). Each function's derivatives are stated once,
+in ``DERIVATIVES``. One domain rule holds for all three: a log, sqrt or
+power guard that fails, an overflow, division by zero or invalid operation
+in the library, or a value, d1 or d2 that is not finite at any point raises
+DomainError.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -31,7 +41,18 @@ from .errors import (
 
 Scalar = Union[float, complex]
 
-FUNCTIONS = ("exp", "log", "sin", "cos", "sinh", "cosh", "sqrt")
+#: (f', f'') of each function at v, given f0 = f(v), in the library m
+#: (math, cmath or numpy)
+DERIVATIVES = {
+    "exp": lambda m, v, f0: (f0, f0),
+    "log": lambda m, v, f0: (1.0 / v, -1.0 / (v * v)),
+    "sin": lambda m, v, f0: (m.cos(v), -f0),
+    "cos": lambda m, v, f0: (-m.sin(v), -f0),
+    "sinh": lambda m, v, f0: (m.cosh(v), f0),
+    "cosh": lambda m, v, f0: (m.sinh(v), f0),
+    "sqrt": lambda m, v, f0: (0.5 / f0, -0.25 / (f0 * v)),
+}
+FUNCTIONS = tuple(DERIVATIVES)
 #: recognized but rejected in complex mode: they break holomorphy
 NON_HOLOMORPHIC = ("abs", "re", "im", "conj", "arg")
 CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -83,9 +104,10 @@ class Expression:
     mode: str  # "real" | "complex"
     source: str
 
-    @property
-    def var(self) -> str:
-        return "x" if self.mode == "real" else "z"
+    @cached_property
+    def compiled(self):
+        """The tree as one closure f(var, m, is_complex) -> Jet2 (``_compile``)."""
+        return _compile(self.root)
 
     def render(self) -> str:
         return _render(self.root, 0)
@@ -292,6 +314,15 @@ def _render(node: Node, parent_level: int) -> str:
 
 # --- order-2 jets ------------------------------------------------------------
 
+def _any(flags) -> bool:
+    """``flags`` for a number; whether any entry is set for an array."""
+    try:
+        return bool(flags)
+    except ValueError:
+        # an array has no single truth value; the try costs a number nothing
+        return bool(np.any(flags))
+
+
 @dataclass(frozen=True)
 class Jet2:
     """Value with exact first and second derivative (forward-mode, order 2)."""
@@ -342,14 +373,8 @@ class Jet2:
 
     def __truediv__(self, other) -> "Jet2":
         o = self._coerce(other)
-        try:
-            if o.value == 0:
-                raise DomainError("division by zero")
-        except ValueError:
-            # an array of denominators has no single truth value; the try
-            # costs the scalar path nothing
-            if np.any(o.value == 0):
-                raise DomainError("division by zero") from None
+        if _any(o.value == 0):
+            raise DomainError("division by zero")
         v = self.value / o.value
         d1 = (self.d1 - v * o.d1) / o.value
         d2 = (self.d2 - 2 * d1 * o.d1 - v * o.d2) / o.value
@@ -364,57 +389,39 @@ def _compose(f0: Scalar, f1: Scalar, f2: Scalar, g: Jet2) -> Jet2:
     return Jet2(f0, f1 * g.d1, f2 * g.d1 * g.d1 + f1 * g.d2)
 
 
-def _power(base: Jet2, p: Union[int, float], is_complex: bool) -> Jet2:
+def _finite(jet: Jet2) -> bool:
+    """Whether value, d1 and d2 are finite at every point: x * 0 is 0 for a
+    finite x, and nan (numpy: an error) for inf or nan."""
+    return not _any(jet.value * 0 + jet.d1 * 0 + jet.d2 * 0 != 0)
+
+
+def _power(base: Jet2, p: Union[int, float], m, is_complex: bool) -> Jet2:
     v = base.value
-    if isinstance(p, float) and p == int(p):
-        p = int(p)
     if isinstance(p, int):
         if p == 0:
+            # the only node that drops its operand, so the only one that must
+            # test it: an overflow there would vanish for numbers alone
+            if not _finite(base):
+                raise DomainError("zeroth power of a non-finite base")
             return Jet2.constant(1.0)
         if p == 1:
             return base
-        if v == 0 and p < 0:
+        if p < 0 and _any(v == 0):
             raise DomainError("zero base with negative exponent")
         # p >= 2 keeps v**(p-2) finite at v == 0
         return _compose(v ** p, p * v ** (p - 1), p * (p - 1) * v ** (p - 2), base)
-    if is_complex:
-        if v == 0:
-            raise DomainError("0^p with non-integer exponent")
-        f0 = cmath.exp(p * cmath.log(v))
-    else:
-        if v <= 0:
-            raise DomainError(f"negative or zero base {v!r} with non-integer exponent")
-        f0 = math.exp(p * math.log(v))
+    if _any(v == 0) or (not is_complex and _any(v < 0)):
+        raise DomainError("negative or zero base with non-integer exponent")
+    f0 = m.exp(p * m.log(v))
     return _compose(f0, p * f0 / v, p * (p - 1) * f0 / (v * v), base)
 
 
-def _apply_function(name: str, arg: Jet2, is_complex: bool) -> Jet2:
-    m = cmath if is_complex else math
+def _apply_function(name: str, arg: Jet2, m, is_complex: bool) -> Jet2:
     v = arg.value
-    try:
-        if name == "exp":
-            f0 = m.exp(v)
-            return _compose(f0, f0, f0, arg)
-        if name == "log":
-            if v == 0 or (not is_complex and v < 0):
-                raise DomainError(f"log at {v!r}")
-            return _compose(m.log(v), 1.0 / v, -1.0 / (v * v), arg)
-        if name == "sqrt":
-            if v == 0 or (not is_complex and v < 0):
-                raise DomainError(f"sqrt at {v!r}")
-            f0 = m.sqrt(v)
-            return _compose(f0, 0.5 / f0, -0.25 / (f0 * v), arg)
-        if name == "sin":
-            return _compose(m.sin(v), m.cos(v), -m.sin(v), arg)
-        if name == "cos":
-            return _compose(m.cos(v), -m.sin(v), -m.cos(v), arg)
-        if name == "sinh":
-            return _compose(m.sinh(v), m.cosh(v), m.sinh(v), arg)
-        if name == "cosh":
-            return _compose(m.cosh(v), m.sinh(v), m.cosh(v), arg)
-    except (ValueError, OverflowError) as exc:
-        raise DomainError(f"{name} at {v!r}: {exc}") from exc
-    raise AssertionError(f"unhandled function {name}")  # pragma: no cover
+    if name in ("log", "sqrt") and (_any(v == 0) or (not is_complex and _any(v < 0))):
+        raise DomainError(f"{name} at a zero or negative point")
+    f0 = getattr(m, name)(v)
+    return _compose(f0, *DERIVATIVES[name](m, v, f0), arg)
 
 
 def _literal_value(node: Node) -> Union[int, float]:
@@ -429,104 +436,48 @@ def _literal_value(node: Node) -> Union[int, float]:
     raise AssertionError("exponent is not a literal")  # pragma: no cover
 
 
-def _eval(node: Node, var: Jet2, is_complex: bool) -> Jet2:
-    if isinstance(node, Literal):
-        return Jet2.constant(node.value)
-    if isinstance(node, Constant):
-        return Jet2.constant(1j if node.name == "i" else CONSTANTS[node.name])
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _compile(node: Node):
+    """``node`` as a closure f(var, m, is_complex) -> Jet2, where ``var`` is
+    the jet of the variable and ``m`` the library (math, cmath or numpy)."""
+    if isinstance(node, (Literal, Constant)):
+        if isinstance(node, Literal):
+            jet = Jet2.constant(node.value)
+        else:
+            jet = Jet2.constant(1j if node.name == "i" else CONSTANTS[node.name])
+        return lambda var, m, is_complex: jet
     if isinstance(node, Variable):
-        return var
+        return lambda var, m, is_complex: var
     if isinstance(node, Unary):
-        return -_eval(node.operand, var, is_complex)
+        operand = _compile(node.operand)
+        return lambda var, m, is_complex: -operand(var, m, is_complex)
     if isinstance(node, Call):
-        return _apply_function(node.func, _eval(node.arg, var, is_complex), is_complex)
-    assert isinstance(node, Binary)
+        name, arg = node.func, _compile(node.arg)
+        return lambda var, m, is_complex: _apply_function(
+            name, arg(var, m, is_complex), m, is_complex)
+    left = _compile(node.left)
     if node.op == "^":
-        return _power(_eval(node.left, var, is_complex), _literal_value(node.right), is_complex)
-    left = _eval(node.left, var, is_complex)
-    right = _eval(node.right, var, is_complex)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    return left / right
+        p = _literal_value(node.right)
+        if isinstance(p, float) and p.is_integer():
+            p = int(p)
+        return lambda var, m, is_complex: _power(left(var, m, is_complex), p, m, is_complex)
+    right, op = _compile(node.right), _OPERATORS[node.op]
+    return lambda var, m, is_complex: op(left(var, m, is_complex), right(var, m, is_complex))
 
 
-# --- the same tree over arrays of points ---------------------------------------
-#
-# numpy ufuncs return inf or nan where math/cmath raise, so every function
-# value is checked: one bad element raises DomainError for the whole array.
-
-def _checked(values, what: str):
-    if not np.all(np.isfinite(values)):
-        raise DomainError(f"{what} is not finite at some point")
-    return values
-
-
-def _power_array(base: Jet2, p: Union[int, float], is_complex: bool) -> Jet2:
-    v = base.value
-    if isinstance(p, float) and p == int(p):
-        p = int(p)
-    if isinstance(p, int):
-        if p == 0:
-            return Jet2.constant(1.0)
-        if p == 1:
-            return base
-        if p < 0 and np.any(v == 0):
-            raise DomainError("zero base with negative exponent")
-        return _compose(_checked(v ** p, "power"), p * v ** (p - 1),
-                        p * (p - 1) * v ** (p - 2), base)
-    if np.any(v == 0) or (not is_complex and np.any(v < 0)):
-        raise DomainError("negative or zero base with non-integer exponent")
-    f0 = _checked(np.exp(p * np.log(v)), "power")
-    return _compose(f0, p * f0 / v, p * (p - 1) * f0 / (v * v), base)
-
-
-def _apply_function_array(name: str, arg: Jet2, is_complex: bool) -> Jet2:
-    v = arg.value
-    if name in ("log", "sqrt") and (np.any(v == 0) or (not is_complex and np.any(v < 0))):
-        raise DomainError(f"{name} at a nonpositive point")
-    f0 = _checked(getattr(np, name)(v), name)
-    if name == "exp":
-        return _compose(f0, f0, f0, arg)
-    if name == "log":
-        return _compose(f0, 1.0 / v, -1.0 / (v * v), arg)
-    if name == "sqrt":
-        return _compose(f0, 0.5 / f0, -0.25 / (f0 * v), arg)
-    if name == "sin":
-        return _compose(f0, np.cos(v), -f0, arg)
-    if name == "cos":
-        return _compose(f0, -np.sin(v), -f0, arg)
-    if name == "sinh":
-        return _compose(f0, np.cosh(v), f0, arg)
-    if name == "cosh":
-        return _compose(f0, np.sinh(v), f0, arg)
-    raise AssertionError(f"unhandled function {name}")  # pragma: no cover
-
-
-def _eval_array(node: Node, var: Jet2, is_complex: bool) -> Jet2:
-    """``_eval`` with ndarray jet parts; +, -, *, / are Jet2's own operators."""
-    if isinstance(node, (Literal, Constant, Variable)):
-        return _eval(node, var, is_complex)
-    if isinstance(node, Unary):
-        return -_eval_array(node.operand, var, is_complex)
-    if isinstance(node, Call):
-        return _apply_function_array(node.func, _eval_array(node.arg, var, is_complex),
-                                     is_complex)
-    if node.op == "^":
-        return _power_array(_eval_array(node.left, var, is_complex),
-                            _literal_value(node.right), is_complex)
-    left = _eval_array(node.left, var, is_complex)
-    right = _eval_array(node.right, var, is_complex)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    return left / right
+def _evaluate(expr: Expression, at, m, is_complex: bool) -> Jet2:
+    """The one domain rule: a failed guard, an error of the library, or a
+    non-finite value, d1 or d2 at any point is a DomainError."""
+    try:
+        jet = expr.compiled(Jet2.variable(at), m, is_complex)
+        finite = _finite(jet)
+    except (ValueError, ArithmeticError) as exc:
+        raise DomainError(f"{expr.source}: {exc}") from exc
+    if not finite:
+        raise DomainError(f"{expr.source} is not finite at some point")
+    return jet
 
 
 def eval_jet2(expr: Expression, at: Scalar) -> Jet2:
@@ -543,12 +494,13 @@ def eval_jet2(expr: Expression, at: Scalar) -> Jet2:
     if isinstance(at, np.ndarray):
         is_complex = expr.mode == "complex" or np.iscomplexobj(at)
         at = at.astype(complex if is_complex else float)
-        with np.errstate(all="ignore"):
-            jet = _eval_array(expr.root, Jet2.variable(at), is_complex)
+        # numpy raises where math and cmath do; an underflow to 0 is no error there
+        with np.errstate(all="raise", under="ignore"):
+            jet = _evaluate(expr, at, np, is_complex)
         # constant subtrees stay scalars; every part gets the shape of ``at``
         return Jet2(*(part if np.shape(part) == at.shape else np.full(at.shape, part)
                       for part in (jet.value, jet.d1, jet.d2)))
     is_complex = expr.mode == "complex" or isinstance(at, complex)
     if is_complex:
-        at = complex(at)
-    return _eval(expr.root, Jet2.variable(at), is_complex)
+        return _evaluate(expr, complex(at), cmath, True)
+    return _evaluate(expr, at, math, False)

@@ -107,14 +107,6 @@ class Taylor2:
     def __rtruediv__(self, other) -> "Taylor2":
         return self._coerce(other) / self
 
-    def __pow__(self, p: int) -> "Taylor2":
-        if not isinstance(p, int) or p < 1:
-            raise ValueError("Taylor2 powers are positive integers")
-        out = self
-        for _ in range(p - 1):
-            out = out * self
-        return out
-
     def real(self) -> "Taylor2":
         """Componentwise real part; valid when the coordinates are real."""
         return Taylor2(np.real(self.value), self.grad.real, self.hess.real)

@@ -194,12 +194,6 @@ class ThetaPair:
     def bot(self, t):
         return self._theta(t, "bot")[0]
 
-    def top_prime(self, t):
-        return self._theta(t, "top")[1]
-
-    def bot_prime(self, t):
-        return self._theta(t, "bot")[1]
-
     def product(self, t):
         """top*bot; equals -s value^2: -value^2 (hyperbolic, complex), +value^2 (ads)."""
         return self.top(t) * self.bot(t)

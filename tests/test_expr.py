@@ -89,11 +89,18 @@ def test_rejections(source, mode, exc):
     ("1/(x-1)", 1.0),
     ("x^0.5", -2.0),
     ("log(z)", 0j),
+    ("x^400", 10.0),
+    ("log(x^4^4)", 0.1),
+    # overflows that ^0 would hide: in numpy's exp, in float division
+    ("exp(exp(exp(x)))^0", 2.0),
+    ("(1/x)^0", 1e-120),
 ])
 def test_domain_errors(source, at):
+    """At the number and at an array holding it: one domain rule for both."""
     mode = "complex" if "z" in source else "real"
-    with pytest.raises(DomainError):
-        eval_jet2(parse(source, mode), at)
+    for point in (at, np.array([at, 1.0])):
+        with pytest.raises(DomainError):
+            eval_jet2(parse(source, mode), point)
 
 
 def test_render_round_trip_fixed_cases():
@@ -151,7 +158,7 @@ def _jet_scale(tree, x):
     between math and numpy grow with it."""
     parts = []
     for node in _subtrees(tree):
-        jet = expr._eval(node, expr.Jet2.variable(x), False)
+        jet = eval_jet2(expr.Expression(node, "real", ""), x)
         parts += [abs(jet.value), abs(jet.d1), abs(jet.d2)]
     return max(parts)
 
@@ -170,14 +177,11 @@ def test_array_jets_equal_scalar_jets(tree, xs):
             scalar.append(eval_jet2(e, x))
         except DomainError:
             bad = True
-        except (OverflowError, ZeroDivisionError):
-            assume(False)
     if bad:
         with pytest.raises(DomainError):
             eval_jet2(e, at)
         return
     parts = np.array([[j.value, j.d1, j.d2] for j in scalar])
-    assume(np.all(np.isfinite(parts)))
     scale = max(_jet_scale(tree, x) for x in xs)
     assume(scale < 1e8)
     jet = eval_jet2(e, at)
@@ -201,9 +205,8 @@ def test_jet_first_derivative_equals_the_complex_step(tree, x):
     try:
         jet = eval_jet2(e, x)
         stepped = eval_jet2(e, complex(x, COMPLEX_STEP)).value
-    except (DomainError, OverflowError, ZeroDivisionError):
+    except DomainError:
         assume(False)
-    assume(all(map(math.isfinite, (jet.value, jet.d1, stepped.real, stepped.imag))))
     scale = _jet_scale(tree, x)
     assume(scale < 1e8)
     # the real part is the value, to rounding: the stepped point stays on the branch
