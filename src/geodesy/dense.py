@@ -18,6 +18,13 @@ in the last bit for some inputs (about 5% of them for q = 3), so they are
 taken per interval with scalar ``pow``. Complex data stays complex
 throughout: numpy divides complex numbers by a reciprocal, so splitting real
 and imaginary parts would change the rounding.
+
+A curve may also be joined from contiguous pieces whose derivatives need not
+agree at the joins: along a polyline path the parametrization velocity jumps
+at each vertex, and one Hermite fit across it would smear the kink. The
+pieces' coefficient columns and breakpoints then form one BPoly, whose
+intervals carry unrelated coefficients anyway; a query at a join lands in the
+piece that starts there, by the interval search of the BPoly itself.
 """
 
 from __future__ import annotations
@@ -32,16 +39,38 @@ class CurveDense:
 
     def __init__(self, nodes, derivatives):
         """``derivatives[k][i]`` is the k-th derivative at ``nodes[i]``."""
-        self.nodes = np.asarray(nodes, dtype=float)
-        if self.nodes.ndim != 1 or len(self.nodes) < 2:
+        nodes = np.asarray(nodes, dtype=float)
+        if nodes.ndim != 1 or len(nodes) < 2:
             raise ValueError("need at least two nodes")
-        if np.any(np.diff(self.nodes) <= 0):
+        if np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
-        self.orders = len(derivatives)
+        self._set(nodes, len(derivatives), _bernstein_coefficients(nodes, derivatives))
+
+    def _set(self, nodes: np.ndarray, orders: int, coefficients: np.ndarray) -> None:
         from scipy.interpolate import BPoly  # imported here: importing geodesy loads no scipy
-        self._poly = BPoly(_bernstein_coefficients(self.nodes, derivatives), self.nodes)
+        self.nodes = nodes
+        self.orders = orders
+        self._poly = BPoly(coefficients, nodes)
         self._d1_poly = self._poly.derivative()
         self._d2_poly = self._d1_poly.derivative()
+
+    @classmethod
+    def joined(cls, pieces: list["CurveDense"]) -> "CurveDense":
+        """One curve from pieces that each start where the one before ends.
+
+        Derivatives may jump at a join; there the curve answers with the
+        piece that starts at it, and everywhere it equals its pieces bit for
+        bit.
+        """
+        if not pieces:
+            raise ValueError("need at least one piece")
+        for a, b in zip(pieces, pieces[1:]):
+            if a.nodes[-1] != b.nodes[0]:
+                raise ValueError("pieces must be contiguous")
+        curve = cls.__new__(cls)
+        nodes = np.concatenate([p.nodes[:-1] for p in pieces] + [pieces[-1].nodes[-1:]])
+        curve._set(nodes, pieces[0].orders, np.concatenate([p._poly.c for p in pieces], axis=1))
+        return curve
 
     @property
     def support(self) -> tuple[float, float]:
@@ -104,60 +133,3 @@ def _bernstein_coefficients(nodes: np.ndarray, derivatives) -> np.ndarray:
         for j in range(q):
             c[-q - 1] -= (-1) ** (j + 1) * comb(q, j + 1) * c[-q + j]
     return c
-
-
-class SegmentedCurve:
-    """Contiguous CurveDense pieces with possible derivative jumps at joins.
-
-    Needed along polyline paths, where the parametrization velocity is
-    discontinuous at vertices: one global Hermite fit would smear the kink.
-    """
-
-    def __init__(self, pieces: list[CurveDense]):
-        if not pieces:
-            raise ValueError("need at least one piece")
-        for a, b in zip(pieces, pieces[1:]):
-            if abs(a.support[1] - b.support[0]) > 1e-12:
-                raise ValueError("pieces must be contiguous")
-        self.pieces = pieces
-        self._breaks = np.array([p.support[0] for p in pieces] + [pieces[-1].support[1]])
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return float(self._breaks[0]), float(self._breaks[-1])
-
-    @property
-    def nodes(self) -> np.ndarray:
-        parts = [p.nodes[:-1] for p in self.pieces[:-1]] + [self.pieces[-1].nodes]
-        return np.concatenate(parts)
-
-    def _piece_index(self, t):
-        # a join belongs to the piece that starts there
-        return np.searchsorted(self._breaks[1:-1], t, side="right")
-
-    def _eval(self, t, attr: str):
-        if np.ndim(t) == 0:
-            return getattr(self.pieces[self._piece_index(float(t))], attr)(t)
-        t = np.asarray(t, dtype=float)
-        idx = self._piece_index(t)
-        parts = {k: getattr(self.pieces[k], attr)(t[idx == k]) for k in np.unique(idx)}
-        out = np.empty(t.shape, dtype=np.result_type(float, *parts.values()))
-        for k, vals in parts.items():
-            out[idx == k] = vals
-        return out
-
-    def value(self, t):
-        return self._eval(t, "value")
-
-    def d1(self, t):
-        return self._eval(t, "d1")
-
-    def d2(self, t):
-        return self._eval(t, "d2")
-
-    __call__ = value
-
-    def refined(self, per_interval: int = 4) -> np.ndarray:
-        parts = [p.refined(per_interval)[:-1] for p in self.pieces[:-1]]
-        return np.concatenate(parts + [self.pieces[-1].refined(per_interval)])
-

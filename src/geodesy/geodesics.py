@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import CurveDense, SegmentedCurve
+from .dense import CurveDense
 from .errors import (
     OutsideSupportError,
     StartOnSingularSetError,
@@ -39,8 +39,11 @@ from .geometry import (
     signed,
 )
 
-#: default width of the stop band in front of the domain boundary
+#: width of the stop band in front of the domain boundary
 BOUNDARY_GUARD = 1e-6
+#: fraction of its largest modulus below which the first coordinate's velocity
+#: counts as a turning point
+TURNING_CUT = 1e-8
 
 
 class Termination(enum.Enum):
@@ -254,14 +257,11 @@ def guard_events(spec: GeometrySpec, guard: float, pair, start,
 
 
 def integrate_geodesic(spec: GeometrySpec, initial: GeodesicState, s_span,
-                       tol: float = 1e-10, boundary_guard: float = BOUNDARY_GUARD,
-                       max_step: float = np.inf,
-                       stop_at_turning: bool = False) -> GeodesicTrajectory:
+                       tol: float = 1e-10) -> GeodesicTrajectory:
     """Integrate the affine geodesic equation over ``s_span``.
 
     Stops early with DOMAIN_BOUNDARY when a guarded domain quantity crosses
-    ``boundary_guard`` (event located by the solver's root finder), or with
-    TURNING_POINT when requested and the first coordinate's velocity hits zero.
+    ``BOUNDARY_GUARD`` (event located by the solver's root finder).
     """
     require_in_domain(spec, initial.coords)
     s0, s1 = float(s_span[0]), float(s_span[1])
@@ -270,29 +270,14 @@ def integrate_geodesic(spec: GeometrySpec, initial: GeodesicState, s_span,
     pack, unpack = _packing(spec)
     n = spec.dim
     y0 = np.concatenate([pack(initial.coords), pack(initial.velocity)])
-    events = guard_events(spec, boundary_guard,
+    events = guard_events(spec, BOUNDARY_GUARD,
                           lambda _s, y: chart_pair(spec, unpack(y)[:n]), (s0, y0))
-    n_boundary = len(events)
-    if stop_at_turning:
-        def turning(_s, y):
-            # velocity of the first chart coordinate (its modulus if complex)
-            vt = chart_pair(spec, unpack(y)[n:])[0]
-            return abs(vt) - boundary_guard if isinstance(vt, complex) else vt
-        turning.terminal = True
-        turning.direction = 0
-        events = events + [turning]
     from scipy.integrate import solve_ivp  # imported here: importing geodesy loads no scipy
     sol = solve_ivp(_affine_rhs(spec), (s0, s1), y0, method="RK45",
-                    rtol=tol, atol=tol * 1e-2, dense_output=True,
-                    events=events, max_step=max_step)
+                    rtol=tol, atol=tol * 1e-2, dense_output=True, events=events)
     if sol.status == -1:
         raise StepSizeUnderflowError(sol.message)
-    if sol.status == 0:
-        termination = Termination.RANGE_END
-    elif stop_at_turning and len(sol.t_events[n_boundary]) > 0:
-        termination = Termination.TURNING_POINT
-    else:
-        termination = Termination.DOMAIN_BOUNDARY
+    termination = Termination.RANGE_END if sol.status == 0 else Termination.DOMAIN_BOUNDARY
     c = unpack(sol.y)
     return GeodesicTrajectory(spec, sol.t, c[:n].T, c[n:].T, termination, sol.sol)
 
@@ -345,9 +330,12 @@ def explicit_second_and_third(spec: GeometrySpec, point, value, slope):
     the jets' own second-order slots are unused. Arrays of points, values and
     slopes give arrays of both.
     """
-    second = explicit_second(spec, point, value, slope)
+    if spec.dim != 2:
+        raise ValueError("no 2D explicit form for the 4D family; use the complex chart")
+    s = spec.facts.sign
     hj = eval_jet2(spec.h, point)
-    f = _explicit_rhs(spec.facts.sign, Jet2(hj.value, hj.d1, 0.0), Jet2(hj.d1, hj.d2, 0.0),
+    second = _explicit_rhs(s, hj.value, hj.d1, value, slope)
+    f = _explicit_rhs(s, Jet2(hj.value, hj.d1, 0.0), Jet2(hj.d1, hj.d2, 0.0),
                       Jet2(value, slope, 0.0), Jet2(slope, second, 0.0))
     return second, f.d1
 
@@ -365,9 +353,9 @@ class ExplicitGeodesic:
     spec: GeometrySpec
     base: complex  # x0 or z0
     termination: Termination
-    _values: object  # CurveDense or SegmentedCurve over the parameter
+    _values: CurveDense  # over the parameter; joined at path vertices
     path: ComplexPath | None = None
-    _zslopes: object = None  # dX/dz dense (complex family only)
+    _zslopes: CurveDense | None = None  # dX/dz dense (complex family only)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -402,8 +390,7 @@ class ExplicitGeodesic:
         return self._values.d2(t)
 
     @classmethod
-    def from_function(cls, spec, fn, support, dfn=None, d2fn=None,
-                      num: int = 129) -> "ExplicitGeodesic":
+    def from_function(cls, spec, fn, support, dfn=None, d2fn=None) -> "ExplicitGeodesic":
         """Sample an arbitrary curve (not necessarily a geodesic) densely.
 
         Used for negative controls and hand-built inputs: with no derivative
@@ -412,6 +399,7 @@ class ExplicitGeodesic:
         """
         if spec.dim != 2 or spec.is_complex_chart:
             raise ValueError("from_function builds real-family curves only")
+        num = 129
         ts = np.linspace(support[0], support[1], num)
         step = (support[1] - support[0]) / (num - 1) * 1e-3
         vals = np.array([fn(t) for t in ts], dtype=float)
@@ -469,7 +457,6 @@ def solve_from_inside(rhs, x0, y0, support, events, tol: float, max_step: float,
 
 def integrate_explicit(spec: GeometrySpec, x0, value0, slope0, support=None,
                        tol: float = 1e-10, path: ComplexPath | None = None,
-                       boundary_guard: float = BOUNDARY_GUARD,
                        value_cap: float = 1e6,
                        max_step: float | None = None) -> ExplicitGeodesic:
     """Integrate the explicit-form geodesic equation.
@@ -480,7 +467,7 @@ def integrate_explicit(spec: GeometrySpec, x0, value0, slope0, support=None,
     the real path parameter as a doubled real system.
 
     Termination is DOMAIN_BOUNDARY when a guard quantity crosses
-    ``boundary_guard`` or when the value escapes past ``value_cap`` (explicit
+    ``BOUNDARY_GUARD`` or when the value escapes past ``value_cap`` (explicit
     geodesics blow up at finite x exactly where a reconstructed solution
     vanishes, so the cap is a chart boundary, not an error).
     """
@@ -492,14 +479,14 @@ def integrate_explicit(spec: GeometrySpec, x0, value0, slope0, support=None,
         if abs(path.start - complex(x0)) > 1e-12:
             raise ValueError("path must start at z0")
         return _integrate_explicit_path(spec, complex(value0), complex(slope0),
-                                        path, tol, boundary_guard, value_cap, max_step)
+                                        path, tol, value_cap, max_step)
     if support is None:
         raise ValueError("real-family explicit integration needs a support interval")
     a, b = float(support[0]), float(support[1])
     x0 = float(x0)
     if not (a <= x0 <= b and a < b):
         raise ValueError("support must be an interval containing x0")
-    start_violation = domain_violation(spec, (x0, value0), boundary_guard)
+    start_violation = domain_violation(spec, (x0, value0), BOUNDARY_GUARD)
     if start_violation is not None:
         raise StartOnSingularSetError(
             f"initial data violates {start_violation}")
@@ -510,7 +497,7 @@ def integrate_explicit(spec: GeometrySpec, x0, value0, slope0, support=None,
         return [y[1], explicit_second(spec, x, y[0], y[1])]
 
     y0 = [float(value0), float(slope0)]
-    events = guard_events(spec, boundary_guard, lambda x, y: (x, y[0]), (x0, y0),
+    events = guard_events(spec, BOUNDARY_GUARD, lambda x, y: (x, y[0]), (x0, y0),
                           value_cap, lambda y: y)
     xs, (vals, slopes), hit_boundary = solve_from_inside(
         rhs, x0, y0, (a, b), events, tol, max_step, drop_event_sample=True)
@@ -520,9 +507,9 @@ def integrate_explicit(spec: GeometrySpec, x0, value0, slope0, support=None,
     return ExplicitGeodesic(spec, x0, termination, curve)
 
 
-def _integrate_explicit_path(spec, value0, slope0, path, tol, guard, cap, max_step):
+def _integrate_explicit_path(spec, value0, slope0, path, tol, cap, max_step):
     state = np.array([value0, slope0], dtype=complex)
-    events = guard_events(spec, guard, lambda s, y: (path.point(s), complex(y[0], y[1])),
+    events = guard_events(spec, BOUNDARY_GUARD, lambda s, y: (path.point(s), complex(y[0], y[1])),
                           (0.0, _to_real(state)), cap, _to_complex)
     pieces_v, pieces_w = [], []
     hit_boundary = False
@@ -549,22 +536,22 @@ def _integrate_explicit_path(spec, value0, slope0, path, tol, guard, cap, max_st
         state = np.array([Xs[-1], Ws[-1]])
     if not pieces_v:
         raise StartOnSingularSetError("no progress from the starting point")
-    values = SegmentedCurve(pieces_v)
-    zslopes = SegmentedCurve(pieces_w)
+    values = CurveDense.joined(pieces_v)
+    zslopes = CurveDense.joined(pieces_w)
     termination = Termination.DOMAIN_BOUNDARY if hit_boundary else Termination.RANGE_END
     return ExplicitGeodesic(spec, path.start, termination, values, path, zslopes)
 
 
-def _before_turning(vt: np.ndarray, turning_cut: float) -> int:
+def _before_turning(vt: np.ndarray) -> int:
     """Samples before the first turning point: the first coordinate's velocity
-    ``vt`` falls to ``turning_cut`` of its largest modulus or, if real, changes sign."""
+    ``vt`` falls to ``TURNING_CUT`` of its largest modulus or, if real, changes sign."""
     scale = float(np.max(np.abs(vt))) or 1.0
-    if abs(vt[0]) <= turning_cut * scale:
+    if abs(vt[0]) <= TURNING_CUT * scale:
         raise TurningPointAtStartError("first coordinate velocity vanishes at s=0")
     real = np.isrealobj(vt)
     keep = len(vt)
     for i in range(1, len(vt)):
-        if (real and np.sign(vt[i]) != np.sign(vt[0])) or abs(vt[i]) <= turning_cut * scale:
+        if (real and np.sign(vt[i]) != np.sign(vt[0])) or abs(vt[i]) <= TURNING_CUT * scale:
             keep = i
             break
     if keep < 2:
@@ -572,8 +559,7 @@ def _before_turning(vt: np.ndarray, turning_cut: float) -> int:
     return keep
 
 
-def explicit_from_trajectory(traj: GeodesicTrajectory,
-                             turning_cut: float = 1e-8) -> ExplicitGeodesic:
+def explicit_from_trajectory(traj: GeodesicTrajectory) -> ExplicitGeodesic:
     """Re-express an affine trajectory as a function of its first coordinate.
 
     Requires a nonzero first-coordinate velocity at s=0; samples past the
@@ -589,9 +575,9 @@ def explicit_from_trajectory(traj: GeodesicTrajectory,
             spec, traj.s, traj.coords[:, 0], traj.coords[:, 1],
             traj.velocities[:, 0], traj.velocities[:, 1], acc[:, 0], acc[:, 1],
             lambda s: traj.state_at(s)[0][0], lambda s: traj.state_at(s)[1][0],
-            traj.termination, turning_cut)
+            traj.termination)
     vx = traj.velocities[:, 0]
-    keep = _before_turning(vx, turning_cut)
+    keep = _before_turning(vx)
     truncated = keep < len(vx)
     xs = traj.coords[:keep, 0]
     vals = traj.coords[:keep, 1]
@@ -608,15 +594,14 @@ def explicit_from_trajectory(traj: GeodesicTrajectory,
 
 
 def path_explicit_from_samples(spec, s_nodes, zs, Xs, vzs, vXs, azs, aXs,
-                               point_at, velocity_at, termination,
-                               turning_cut: float = 1e-8) -> ExplicitGeodesic:
+                               point_at, velocity_at, termination) -> ExplicitGeodesic:
     """Explicit-form geodesic along its own z-projection from sampled data.
 
     ``point_at``/``velocity_at`` give the smooth z-curve as functions of the
     raw parameter; samples past the first |dz/ds| ~ 0 are dropped. Shared by
     the complex-chart and 4D-chart trajectory conversions.
     """
-    keep = _before_turning(np.asarray(vzs, dtype=complex), turning_cut)
+    keep = _before_turning(np.asarray(vzs, dtype=complex))
     truncated = keep < len(vzs)
     s_lo, s_hi = s_nodes[0], s_nodes[keep - 1]
     span = s_hi - s_lo
@@ -625,9 +610,8 @@ def path_explicit_from_samples(spec, s_nodes, zs, Xs, vzs, vXs, azs, aXs,
     ss = (np.asarray(s_nodes[:keep]) - s_lo) / span
     Ws = vXs[:keep] / vzs[:keep]
     dWs = (aXs[:keep] * vzs[:keep] - vXs[:keep] * azs[:keep]) / vzs[:keep] ** 2 * span
-    values = SegmentedCurve([CurveDense(ss, [Xs[:keep], vXs[:keep] * span,
-                                             aXs[:keep] * span ** 2])])
-    zslopes = SegmentedCurve([CurveDense(ss, [Ws, dWs])])
+    values = CurveDense(ss, [Xs[:keep], vXs[:keep] * span, aXs[:keep] * span ** 2])
+    zslopes = CurveDense(ss, [Ws, dWs])
     if truncated:
         termination = Termination.TURNING_POINT
     return ExplicitGeodesic(spec, zs[0], termination, values, path, zslopes)

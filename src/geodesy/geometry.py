@@ -474,6 +474,10 @@ def plane_sectional_curvature(spec: GeometrySpec, coords, u, v) -> float:
 
 # --- sampling -------------------------------------------------------------------
 
+#: lower bound on |den| at sampled points
+SAMPLE_MARGIN = 0.05
+
+
 def _draw(spec: GeometrySpec, rng: np.random.Generator) -> tuple:
     """One uniform chart point from the family's sampling box."""
     if spec.dim == 4:
@@ -486,11 +490,11 @@ def _draw(spec: GeometrySpec, rng: np.random.Generator) -> tuple:
     return rng.uniform(-2.0, 2.0), rng.uniform(0.2, 3.0)
 
 
-def sample_domain_points(spec: GeometrySpec, rng: np.random.Generator, count: int,
-                         margin: float = 0.05) -> np.ndarray:
+def sample_domain_points(spec: GeometrySpec, rng: np.random.Generator,
+                         count: int) -> np.ndarray:
     """Random chart points, rejection-sampled away from the singular sets.
 
-    ``margin`` keeps |den| bounded below so curvature checks run on
+    Keeping |den| > SAMPLE_MARGIN makes curvature checks run on
     well-conditioned points; complex pairs also keep |v| > 0.3 (real charts
     draw v >= 0.2). A draw where h is undefined (log(x) at x <= 0) is
     rejected like any other: every draw takes the same random numbers, so a
@@ -510,6 +514,6 @@ def sample_domain_points(spec: GeometrySpec, rng: np.random.Generator, count: in
             den = den_at(spec, t, v)
         except DomainError:
             continue
-        if (not isinstance(v, complex) or abs(v) > 0.3) and abs(den) > margin:
+        if (not isinstance(v, complex) or abs(v) > 0.3) and abs(den) > SAMPLE_MARGIN:
             pts.append(point)
     return np.array(pts, dtype=np.complex128 if spec.is_complex_chart else np.float64)

@@ -35,6 +35,11 @@ from .geometry import (
 )
 from .reconstruct import reconstruct_basis
 
+#: imaginary step of the central difference in cauchy_riemann_residual
+CR_STEP = 1e-5
+#: solver tolerance of both integrations in kn_geodesic_split
+KN_RK_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class KNPoint:
@@ -75,16 +80,17 @@ def _require_kn(spec: GeometrySpec) -> GeometrySpec:
     return GeometrySpec(Family.COMPLEX_SPHERE, spec.h)
 
 
-def cauchy_riemann_residual(h: Expression, x, y, step: float = 1e-5) -> tuple:
+def cauchy_riemann_residual(h: Expression, x, y) -> tuple:
     """Residuals of the two Cauchy-Riemann equations for Re h, Im h.
 
     The x-partials come exactly from the holomorphic jet; the y-partials from
-    a central difference along the imaginary direction with the given step,
+    a central difference along the imaginary direction with step CR_STEP,
     so the identity is probed across two genuinely different evaluations.
     ``x`` and ``y`` may be arrays of points; each residual then has their shape.
     """
     z = np.asarray(x) + 1j * np.asarray(y)
     dx = eval_jet2(h, z).d1
+    step = CR_STEP
     dy = (eval_jet2(h, z + 1j * step).value - eval_jet2(h, z - 1j * step).value) / (2 * step)
     return np.abs(dx.real - dy.imag), np.abs(dy.real + dx.imag)
 
@@ -182,7 +188,7 @@ class KNSplitReport:
 
 
 def kn_geodesic_split(spec: GeometrySpec, initial: GeodesicState, s_span,
-                      tol: float = 1e-8, rk_tol: float = 1e-12) -> KNSplitReport:
+                      tol: float = 1e-8) -> KNSplitReport:
     """Integrate the same geodesic in the 4D and the complex chart.
 
     The two trajectories are matched componentwise (x, y, Phi, Psi against
@@ -194,10 +200,10 @@ def kn_geodesic_split(spec: GeometrySpec, initial: GeodesicState, s_span,
     coords = tuple(_coords(initial.coords).tolist())
     require_in_domain(spec, coords)
     vel = tuple(float(v) for v in initial.velocity)
-    traj4 = integrate_geodesic(spec, GeodesicState(coords, vel), s_span, tol=rk_tol)
+    traj4 = integrate_geodesic(spec, GeodesicState(coords, vel), s_span, tol=KN_RK_TOL)
     trajc = integrate_geodesic(
         spec_c, GeodesicState(chart_pair(spec, coords), chart_pair(spec, vel)), s_span,
-        tol=rk_tol)
+        tol=KN_RK_TOL)
     s_hi = min(traj4.s[-1], trajc.s[-1])
     grid = np.linspace(traj4.s[0], s_hi, 65)
     q4, _ = traj4.state_at(grid)

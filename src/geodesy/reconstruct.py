@@ -17,6 +17,12 @@ there, nonnegative real part) along the support, never re-chosen pointwise.
 Both Theta's solve the Riccati equation Theta' + Theta^2 + h = 0 exactly when
 the input curve is a geodesic, and the pair inverts back through
 value^2 = -s top*bot.
+
+The two branches share every term but the sign of the unit, so each query
+evaluates both in one pass: one read of the geodesic and of h, one den, one
+tracked root, and one Gauss rule for both exponents. The solutions are
+weights over that one evaluation: u_top is (1, 0), u_bot is (0, 1) and
+A u_top + B u_bot is (A, B).
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import CurveDense, SegmentedCurve
+from .dense import CurveDense
 from .errors import (
     DenominatorVanishesError,
     NegativeRadicandError,
@@ -53,6 +59,10 @@ from .geometry import GeometrySpec, add_signed
 DEGENERACY_TOL = 1e-10
 #: geodesic-residual bound for the auto-check in reconstruct_basis
 RESIDUAL_GATE = 1e-4
+#: sample points inside every node interval of the curve invert_to_geodesic recovers
+INVERSION_REFINE = 3
+#: |Theta| at which integrate_riccati stops (the solution blows up there)
+RICCATI_CAP = 1e6
 
 
 class _TrackedSqrt:
@@ -93,19 +103,19 @@ class _TrackedSqrt:
 class _ThetaView:
     """One Theta of a pair as a dense scalar function (value and derivative)."""
 
-    def __init__(self, pair: "ThetaPair", which: str):
+    def __init__(self, pair: "ThetaPair", index: int):
         self._pair = pair
-        self.which = which
+        self._index = index  # of the value in the tuple of ThetaPair._theta
 
     @property
     def support(self):
         return self._pair.support
 
     def value(self, t):
-        return self._pair._theta(t, self.which)[0]
+        return self._pair._theta(t)[self._index]
 
     def d1(self, t):
-        return self._pair._theta(t, self.which)[1]
+        return self._pair._theta(t)[self._index + 1]
 
     __call__ = value
 
@@ -136,9 +146,7 @@ class ThetaPair:
         return g.value(t), g.slope(t), g.second(t), hj.value, hj.d1
 
     def radicand(self, t):
-        v, w, _, h, _ = self._data(_params(t))
-        s = self.spec.facts.sign
-        return _radicand(s, add_signed(h, -s, v * v), w)
+        return _sampled_den_and_radicand(self.spec, self.geodesic, _params(t))[1]
 
     def velocity_norm(self, t):
         """Tracked speed L of the explicit-form geodesic (radicand's root)."""
@@ -148,61 +156,63 @@ class ThetaPair:
         out = self._sqrt(t, self.radicand(t))[()]
         return out.real if self.is_real_output else out
 
-    def _theta(self, t, which: str):
-        """(Theta, Theta') at parameter t (a number or an array); derivatives
-        are in x or z.
+    def _theta(self, t):
+        """(top, top', bot, bot') at parameter t (a number or an array);
+        derivatives are in x or z.
 
         Theta = s V (W + q) / den with q = unit * L, L the tracked root of
         den^2 + s W^2 and den = h - s V^2 (unit -1 or +i for top, its
-        negative for bot). Near a blow-up W + q nearly cancels for one
+        negative for bot). The geodesic data, den and L are computed once
+        for both branches. Near a blow-up W + q nearly cancels for one
         branch; there the conjugate form Theta = -V den / (W - q) (exact
         identity via (W+q)(W-q) = -s den^2) is used instead.
         """
         t = _params(t)
         v, w, sec, h, hp = self._data(t)
         s = self.spec.facts.sign
-        den = add_signed(h, -s, v * v)
+        den, radicand = _den_and_radicand(s, h, v, w)
         dden = add_signed(hp, -s, 2 * v * w)
-        if self.coincident:
-            q, dq = 0.0, 0.0
-        else:
-            ell = self._sqrt(t, _radicand(s, den, w))
+        if not self.coincident:
+            ell = self._sqrt(t, radicand)
             dell = add_signed(den * dden, s, w * sec) / ell
-            unit = self.spec.facts.theta_unit
-            if which != "top":
-                unit = -unit
-            q, dq = unit * ell, unit * dell
+        unit = self.spec.facts.theta_unit
         front = 1.0 if s > 0 else -1.0
+        out = []
         with np.errstate(divide="ignore", invalid="ignore"):
-            # both forms are computed; each point keeps the well-conditioned one
-            theta_direct = front * v * (w + q) / den
-            dtheta_direct = (front * (w * (w + q) + v * (sec + dq)) - theta_direct * dden) / den
-            # conjugate form: W^2 - q^2 = -s den^2, so s V (W + q) / den
-            # reduces to -V den / (W - q) for either sign
-            theta_conj = -v * den / (w - q)
-            dtheta_conj = (-(w * den + v * dden) - theta_conj * (sec - dq)) / (w - q)
-        direct = np.abs(w + q) >= 0.5 * (np.abs(w) + np.abs(q))
-        theta = np.where(direct, theta_direct, theta_conj)[()]
-        dtheta = np.where(direct, dtheta_direct, dtheta_conj)[()]
-        if self.is_real_output:
-            return np.real(theta), np.real(dtheta)
-        return theta, dtheta
+            for u in (unit, -unit):
+                q, dq = (0.0, 0.0) if self.coincident else (u * ell, u * dell)
+                # both forms are computed; each point keeps the well-conditioned one
+                theta_direct = front * v * (w + q) / den
+                dtheta_direct = (front * (w * (w + q) + v * (sec + dq))
+                                 - theta_direct * dden) / den
+                # conjugate form: W^2 - q^2 = -s den^2, so s V (W + q) / den
+                # reduces to -V den / (W - q) for either sign
+                theta_conj = -v * den / (w - q)
+                dtheta_conj = (-(w * den + v * dden) - theta_conj * (sec - dq)) / (w - q)
+                direct = np.abs(w + q) >= 0.5 * (np.abs(w) + np.abs(q))
+                theta = np.where(direct, theta_direct, theta_conj)[()]
+                dtheta = np.where(direct, dtheta_direct, dtheta_conj)[()]
+                if self.is_real_output:
+                    theta, dtheta = np.real(theta), np.real(dtheta)
+                out += [theta, dtheta]
+        return tuple(out)
 
     def top(self, t):
-        return self._theta(t, "top")[0]
+        return self._theta(t)[0]
 
     def bot(self, t):
-        return self._theta(t, "bot")[0]
+        return self._theta(t)[2]
 
     def product(self, t):
         """top*bot; equals -s value^2: -value^2 (hyperbolic, complex), +value^2 (ads)."""
-        return self.top(t) * self.bot(t)
+        top, _, bot, _ = self._theta(t)
+        return top * bot
 
     def top_view(self) -> _ThetaView:
-        return _ThetaView(self, "top")
+        return _ThetaView(self, 0)
 
     def bot_view(self) -> _ThetaView:
-        return _ThetaView(self, "bot")
+        return _ThetaView(self, 2)
 
 
 def _params(t):
@@ -210,19 +220,17 @@ def _params(t):
     return float(t) if np.ndim(t) == 0 else np.asarray(t, dtype=float)
 
 
-def _radicand(s: int, den, w):
-    """den^2 + s w^2, the square of the speed L of the explicit-form geodesic."""
-    return add_signed(den ** 2, s, w * w)
+def _den_and_radicand(s: int, h, v, w):
+    """den = h - s v^2 and the radicand den^2 + s w^2, the square of the speed
+    L of the explicit-form geodesic (value v, slope w)."""
+    den = add_signed(h, -s, v * v)
+    return den, add_signed(den ** 2, s, w * w)
 
 
-def _denominators_and_radicands(spec: GeometrySpec, g: ExplicitGeodesic,
-                                grid: np.ndarray):
-    vals = np.asarray(g.value(grid), dtype=complex)
-    slopes = np.asarray(g.slope(grid), dtype=complex)
-    hs = np.asarray(eval_jet2(spec.h, g.point(grid)).value, dtype=complex)
-    s = spec.facts.sign
-    dens = add_signed(hs, -s, vals * vals)
-    return dens, _radicand(s, dens, slopes)
+def _sampled_den_and_radicand(spec: GeometrySpec, g: ExplicitGeodesic, t):
+    """:func:`_den_and_radicand` at parameters ``t`` of ``g``, in complex arithmetic."""
+    data = (eval_jet2(spec.h, g.point(t)).value, g.value(t), g.slope(t))
+    return _den_and_radicand(spec.facts.sign, *(np.asarray(d, dtype=complex) for d in data))
 
 
 def theta_from_geodesic(spec: GeometrySpec, g: ExplicitGeodesic) -> ThetaPair:
@@ -230,7 +238,7 @@ def theta_from_geodesic(spec: GeometrySpec, g: ExplicitGeodesic) -> ThetaPair:
     if spec.dim != 2:
         raise ValueError("use the complex chart for the 4D family")
     grid = g._values.refined(1)
-    dens, rads = _denominators_and_radicands(spec, g, grid)
+    dens, rads = _sampled_den_and_radicand(spec, g, grid)
     den_scale = float(np.max(np.abs(dens))) or 1.0
     if np.min(np.abs(dens)) <= 1e-12 * den_scale:
         worst = grid[int(np.argmin(np.abs(dens)))]
@@ -248,114 +256,127 @@ def theta_from_geodesic(spec: GeometrySpec, g: ExplicitGeodesic) -> ThetaPair:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
 
 
-class _ExpIntegralSolution:
-    """u = exp(integral of Theta) as a dense function with two derivatives.
+class _Solution:
+    """a u_top + b u_bot as a dense function with two derivatives.
 
-    The integral is a fixed 4-point Gauss-Legendre rule on every interval
-    between knots: the geodesic's nodes, the base point and the path
-    vertices. Its cumulative sums give the exponent at the knots; a query
-    adds one more rule from the knot at or below it, so u(t) depends on t
-    alone. For path reconstructions the integral runs in the path parameter
-    with the path velocity as Jacobian, and u', u'' are z-derivatives.
+    The weights apply to one evaluation of both solutions. A weight of 0
+    drops its solution (a non-finite partner does not turn the sum into
+    NaN) and a weight of 1 takes it as it is, so u_top = (1, 0) and
+    u_bot = (0, 1) are the solutions themselves. For path reconstructions
+    u', u'' are z-derivatives.
     """
 
-    def __init__(self, pair: ThetaPair, which: str, base_param: float):
-        self._pair = pair
-        self._which = which
-        self._path = pair.geodesic.path
-        lo, hi = pair.support
-        knots = [pair.geodesic.nodes, [lo, hi, base_param]]
-        if self._path is not None:
-            knots.append([b for b in self._path.breaks if lo < b < hi])
-        self._knots = np.unique(np.clip(np.concatenate(knots), lo, hi))
-        steps = self._rule(self._knots[:-1], self._knots[1:])
-        cumulative = np.concatenate([[0.0], np.cumsum(steps)])
-        base_knot = np.searchsorted(self._knots, min(max(base_param, lo), hi))
-        self._at_knots = cumulative - cumulative[base_knot]
-
-    @property
-    def support(self):
-        return self._pair.support
-
-    def _rule(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Integral of Theta (times dzeta/ds on paths) over each [a_i, b_i]."""
-        half = 0.5 * (b - a)
-        s = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
-        f = self._pair._theta(s.ravel(), self._which)[0]
-        if self._path is not None:
-            f = f * self._path.velocity(s.ravel())
-        return half * (f.reshape(s.shape) @ _GL_WEIGHTS)
-
-    def exponent(self, t):
-        """Integral of Theta from the base point to t (a number or an array)."""
-        t = _params(t)
-        i = np.clip(np.searchsorted(self._knots, t, side="right") - 1, 0, len(self._knots) - 2)
-        tail = self._rule(np.ravel(self._knots[i]), np.ravel(t)).reshape(np.shape(t))
-        return (self._at_knots[i] + tail)[()]
-
-    def value(self, t):
-        out = np.exp(self.exponent(t))
-        return out.real if self._pair.is_real_output else out
-
-    def d1(self, t):
-        return self._pair._theta(t, self._which)[0] * self.value(t)
-
-    def d2(self, t):
-        th, dth = self._pair._theta(t, self._which)
-        return (dth + th * th) * self.value(t)
-
-    __call__ = value
-
-
-@dataclass(frozen=True)
-class _Combination:
-    """A u_top + B u_bot as a dense function."""
-
-    basis: "SolutionBasis"
-    a: complex
-    b: complex
+    def __init__(self, basis: "SolutionBasis", a, b):
+        self.basis = basis
+        self.weights = (a, b)
 
     @property
     def support(self):
         return self.basis.support
 
+    @property
+    def _pair(self):
+        return self.basis.theta
+
+    def _weigh(self, top, bot):
+        a, b = self.weights
+        if a == 0 or b == 0:
+            w, u = (a, top) if b == 0 else (b, bot)
+            return u if w == 1 else w * u
+        return a * top + b * bot
+
     def value(self, t):
-        return self.a * self.basis.u_top.value(t) + self.b * self.basis.u_bot.value(t)
+        return self._weigh(*self.basis.values(t))
 
     def d1(self, t):
-        return self.a * self.basis.u_top.d1(t) + self.b * self.basis.u_bot.d1(t)
+        (top, bot), (th_top, _, th_bot, _) = self.basis.values(t), self._pair._theta(t)
+        return self._weigh(th_top * top, th_bot * bot)
 
     def d2(self, t):
-        return self.a * self.basis.u_top.d2(t) + self.b * self.basis.u_bot.d2(t)
+        (top, bot), (th_top, dth_top, th_bot, dth_bot) = self.basis.values(t), self._pair._theta(t)
+        return self._weigh((dth_top + th_top * th_top) * top, (dth_bot + th_bot * th_bot) * bot)
 
     __call__ = value
 
 
-@dataclass
 class SolutionBasis:
-    """u_top/u_bot with u(base) = 1; general solution is A u_top + B u_bot."""
+    """u_top/u_bot with u(base) = 1; general solution is A u_top + B u_bot.
 
-    spec: GeometrySpec
-    theta: ThetaPair
-    base_param: float
-    u_top: _ExpIntegralSolution
-    u_bot: _ExpIntegralSolution
+    u = exp(integral of Theta). The integral is a fixed 4-point
+    Gauss-Legendre rule on every interval between knots: the geodesic's
+    nodes, the base point and the path vertices. One pass of the rule over
+    the knots gives the exponents of both solutions there (cumulative sums);
+    a query adds one more rule from the knot at or below it, again for both
+    at once, so u(t) depends on t alone. For path reconstructions the
+    integral runs in the path parameter with the path velocity as Jacobian.
+    """
+
+    def __init__(self, theta: ThetaPair, base_param: float):
+        self.spec = theta.spec
+        self.theta = theta
+        self.base_param = base_param
+        self._path = theta.geodesic.path
+        lo, hi = theta.support
+        knots = [theta.geodesic.nodes, [lo, hi, base_param]]
+        if self._path is not None:
+            knots.append([b for b in self._path.breaks if lo < b < hi])
+        self._knots = np.unique(np.clip(np.concatenate(knots), lo, hi))
+        base_knot = np.searchsorted(self._knots, min(max(base_param, lo), hi))
+        self._at_knots = []
+        for steps in self._rule(self._knots[:-1], self._knots[1:]):
+            cumulative = np.concatenate([[0.0], np.cumsum(steps)])
+            self._at_knots.append(cumulative - cumulative[base_knot])
 
     @property
     def support(self):
         return self.theta.support
 
-    def wronskian(self, t):
-        return (self.u_top.value(t) * self.u_bot.d1(t)
-                - self.u_top.d1(t) * self.u_bot.value(t))
+    # made on each access: a solution stored on the basis would form a
+    # reference cycle, which leaves every basis to the cyclic collector
+    @property
+    def u_top(self) -> _Solution:
+        return _Solution(self, 1, 0)
 
-    def combination(self, a: float, b: float) -> _Combination:
+    @property
+    def u_bot(self) -> _Solution:
+        return _Solution(self, 0, 1)
+
+    def _rule(self, a: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
+        """Integrals of Theta_top and Theta_bot (times dzeta/ds on paths) over
+        each [a_i, b_i]."""
+        half = 0.5 * (b - a)
+        s = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
+        top, _, bot, _ = self.theta._theta(s.ravel())
+        if self._path is not None:
+            velocity = self._path.velocity(s.ravel())
+            top, bot = top * velocity, bot * velocity
+        return [half * (f.reshape(s.shape) @ _GL_WEIGHTS) for f in (top, bot)]
+
+    def exponents(self, t):
+        """Integrals of Theta_top and Theta_bot from the base point to t (a
+        number or an array)."""
+        t = _params(t)
+        i = np.clip(np.searchsorted(self._knots, t, side="right") - 1, 0, len(self._knots) - 2)
+        tails = self._rule(np.ravel(self._knots[i]), np.ravel(t))
+        return tuple((at[i] + tail.reshape(np.shape(t)))[()]
+                     for at, tail in zip(self._at_knots, tails))
+
+    def values(self, t):
+        """(u_top, u_bot) at t (a number or an array)."""
+        out = tuple(np.exp(e) for e in self.exponents(t))
+        return tuple(u.real for u in out) if self.theta.is_real_output else out
+
+    def wronskian(self, t):
+        (top, bot), (th_top, _, th_bot, _) = self.values(t), self.theta._theta(t)
+        return top * (th_bot * bot) - (th_top * top) * bot
+
+    def combination(self, a: float, b: float) -> _Solution:
         """A u_top + B u_bot as a dense function."""
-        return _Combination(self, a, b)
+        return _Solution(self, a, b)
 
 
 def reconstruct_basis(spec: GeometrySpec, g: ExplicitGeodesic, base=None,
-                      path: ComplexPath | None = None, tol: float | None = None,
+                      tol: float | None = None,
                       check_residual: bool = True) -> SolutionBasis:
     """Reconstruct the solution basis of u'' + h u = 0 from a geodesic.
 
@@ -364,12 +385,10 @@ def reconstruct_basis(spec: GeometrySpec, g: ExplicitGeodesic, base=None,
     defect is verified first: curves that are not geodesics do not produce
     solutions, and are rejected rather than silently reconstructed. A NaN
     defect counts as too large. ``tol`` is ignored: the basis integrals use a
-    fixed rule with no tolerance to set.
+    fixed rule with no tolerance to set. Along a complex path the integrals
+    run along the geodesic's own path; path_independence_check compares
+    alternative paths.
     """
-    if path is not None and g.path is not None and path is not g.path:
-        raise ValueError(
-            "basis integrals run along the geodesic's own path; "
-            "use path_independence_check to compare alternative paths")
     if base is None:
         base = g.base_param
     lo, hi = g.support
@@ -391,10 +410,7 @@ def reconstruct_basis(spec: GeometrySpec, g: ExplicitGeodesic, base=None,
                 f"relative geodesic residual {worst:.3e} exceeds "
                 f"{RESIDUAL_GATE:.0e}; input curve does not solve the "
                 "explicit-form equation")
-    pair = theta_from_geodesic(spec, g)
-    u_top = _ExpIntegralSolution(pair, "top", float(base))
-    u_bot = _ExpIntegralSolution(pair, "bot", float(base))
-    return SolutionBasis(spec, pair, float(base), u_top, u_bot)
+    return SolutionBasis(theta_from_geodesic(spec, g), float(base))
 
 
 # --- residuals -------------------------------------------------------------------
@@ -405,8 +421,7 @@ def _points_in_support(f, t):
     ts = _params(t)
     if np.any(ts < lo - 1e-9) or np.any(ts > hi + 1e-9):
         raise OutsideSupportError(f"{t} outside [{lo}, {hi}]")
-    basis = getattr(f, "basis", None)
-    pair = getattr(f, "_pair", None) or (basis.theta if basis is not None else None)
+    pair = getattr(f, "_pair", None)
     if pair is not None and pair.geodesic.path is not None:
         return pair.geodesic.path.point(ts)
     return ts
@@ -435,33 +450,31 @@ def _velocity_inside(path: ComplexPath, ts: np.ndarray) -> np.ndarray:
     return path.velocity(inner)
 
 
-def invert_to_geodesic(source, refine: int = 3) -> ExplicitGeodesic:
+def invert_to_geodesic(source) -> ExplicitGeodesic:
     """Recover the explicit-form geodesic from a basis or a Theta pair.
 
     value = sqrt(-s top*bot): sqrt(-top*bot) for the hyperbolic and complex
     families, sqrt(+top*bot) for ads; the root is continued from the base
     (positive real part there), matching the uniqueness statement of the
-    inversion formulas. ``refine`` controls the sampling density of the
-    recovered curve between the source's nodes. Along a path the recovered
-    curve has one piece per piece of the source, so that the jump of the
+    inversion formulas. The recovered curve is sampled at INVERSION_REFINE
+    points inside every interval between the source's nodes. Along a path
+    it is joined from one piece per path segment, so that the jump of the
     path velocity at a vertex is not smeared.
     """
     if isinstance(source, SolutionBasis):
         pair = source.theta
-        probe = np.linspace(*pair.support, 33)
-        if (np.min(np.abs(source.u_top.value(probe))) == 0.0
-                or np.min(np.abs(source.u_bot.value(probe))) == 0.0):
+        top, bot = source.values(np.linspace(*pair.support, 33))
+        if np.min(np.abs(top)) == 0.0 or np.min(np.abs(bot)) == 0.0:
             raise ZeroCrossingOfUError("a basis solution vanishes on the support")
     elif isinstance(source, ThetaPair):
         pair = source
     else:
         raise TypeError("source must be a SolutionBasis or ThetaPair")
     g0 = pair.geodesic
-    grid = g0._values.refined(refine)
+    grid = g0._values.refined(INVERSION_REFINE)
     spec = pair.spec
     sign = -float(spec.facts.sign)
-    top, dtop = pair._theta(grid, "top")
-    bot, dbot = pair._theta(grid, "bot")
+    top, dtop, bot, dbot = pair._theta(grid)
     # broadcast: a pair that is constant may answer with scalars
     prods = np.broadcast_to(sign * top * bot, grid.shape).astype(complex)
     dprods = np.broadcast_to(sign * (dtop * bot + top * dbot), grid.shape).astype(complex)
@@ -479,24 +492,26 @@ def invert_to_geodesic(source, refine: int = 3) -> ExplicitGeodesic:
     if g0.path is None:
         curve = CurveDense(grid, [vals, slopes])
         return ExplicitGeodesic(spec, g0.base, g0.termination, curve)
+    # each segment run of the source starts and ends on its path break, so
+    # the breaks inside the support are grid points: the joins
+    lo, hi = g0.support
+    joins = np.searchsorted(grid, [b for b in g0.path.breaks if lo < b < hi])
+    ends = [0, *joins.tolist(), len(grid) - 1]
     value_pieces, slope_pieces = [], []
-    start = 0
-    for piece in g0._values.pieces:
-        # SegmentedCurve.refined shares each join between adjacent pieces
-        part = slice(start, start + (len(piece.nodes) - 1) * (refine + 1) + 1)
-        start = part.stop - 1
+    for start, stop in zip(ends, ends[1:]):
+        part = slice(start, stop + 1)
         ts = grid[part]
         dvals = slopes[part] * _velocity_inside(g0.path, ts)
         value_pieces.append(CurveDense(ts, [vals[part], dvals]))
         slope_pieces.append(CurveDense(ts, [slopes[part], np.gradient(slopes[part], ts)]))
-    return ExplicitGeodesic(spec, g0.base, g0.termination, SegmentedCurve(value_pieces),
-                            g0.path, SegmentedCurve(slope_pieces))
+    return ExplicitGeodesic(spec, g0.base, g0.termination, CurveDense.joined(value_pieces),
+                            g0.path, CurveDense.joined(slope_pieces))
 
 
 # --- Riccati solutions as geodesics ----------------------------------------------
 
 def integrate_riccati(h: Expression, theta0, x0: float, support,
-                      tol: float = 1e-12, cap: float = 1e6) -> CurveDense:
+                      tol: float = 1e-12) -> CurveDense:
     """Direct RK integration of Theta' = -Theta^2 - h as a dense function.
 
     Works for real h/theta0 and for complex-mode h along the real axis.
@@ -516,7 +531,7 @@ def integrate_riccati(h: Expression, theta0, x0: float, support,
         return pack(-th * th - eval_jet2(h, point).value)
 
     def escape(x, y):
-        return cap - abs(unpack(y))
+        return RICCATI_CAP - abs(unpack(y))
     escape.terminal = True
     escape.direction = -1
 
@@ -616,7 +631,7 @@ def path_independence_check(spec: GeometrySpec, g: ExplicitGeodesic,
             raise PathLeavesSupportError(
                 f"path hits the domain boundary at s={gp.support[1]:.6g}")
         basis = reconstruct_basis(spec, gp, check_residual=False)
-        integrals.append((basis.u_top.exponent(1.0), basis.u_bot.exponent(1.0)))
+        integrals.append(basis.exponents(1.0))
     (ta, ba), (tb, bb) = integrals
     return PathIndependenceReport(abs(ta - tb), abs(ba - bb), tol)
 
@@ -628,9 +643,8 @@ class DegeneracyReport:
     threshold: float
 
 
-def degeneracy_probe(spec: GeometrySpec, g: ExplicitGeodesic,
-                     threshold: float = DEGENERACY_TOL) -> DegeneracyReport:
+def degeneracy_probe(spec: GeometrySpec, g: ExplicitGeodesic) -> DegeneracyReport:
     """Flag a radicand that vanishes identically (basis not independent)."""
-    _, rads = _denominators_and_radicands(spec, g, g._values.refined(2))
+    _, rads = _sampled_den_and_radicand(spec, g, g._values.refined(2))
     sup = float(np.max(np.abs(rads)))
-    return DegeneracyReport(sup < threshold, sup, threshold)
+    return DegeneracyReport(sup < DEGENERACY_TOL, sup, DEGENERACY_TOL)

@@ -78,10 +78,11 @@ def test_out_of_domain_start_rejected():
 def test_vertical_geodesic_stops_at_domain_boundary():
     """x = const, Phi = 1.3 e^{-s/2} crosses Phi^2 = h = 1; the event should
     land where |Phi^2 - 1| equals the guard, to the bisection tolerance."""
-    guard = 1e-6
+    guard = gd.BOUNDARY_GUARD
+    assert guard == 1e-6
     spec = make_spec("hyperbolic", "1+0*x")
     traj = integrate_geodesic(spec, GeodesicState((0.0, 1.3), (0.0, -0.65)),
-                              (0, 5), tol=1e-12, boundary_guard=guard)
+                              (0, 5), tol=1e-12)
     assert traj.termination is Termination.DOMAIN_BOUNDARY
     phi_end = traj.coords[-1, 1]
     assert abs(phi_end ** 2 - 1.0) == pytest.approx(guard, rel=1e-6)

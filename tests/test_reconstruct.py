@@ -176,8 +176,8 @@ def test_inversion_wrong_sign_product_rejected():
     g = integrate_explicit(spec, 0.0, 1.0, 0.0, support=(0, 1), tol=1e-12)
 
     class _BadPair(rc.ThetaPair):
-        def _theta(self, t, which):
-            return (1.0, 0.0) if which == "top" else (2.0, 0.0)
+        def _theta(self, t):
+            return 1.0, 0.0, 2.0, 0.0  # (top, top', bot, bot')
 
     bad = _BadPair(spec, g, False, [], 1.0, None)
     with pytest.raises(NegativeRadicandError):
@@ -419,10 +419,11 @@ def test_array_theta_matches_scalar_where_the_conjugate_form_is_taken(airy_basis
     q = -pair._sqrt(ts, pair.radicand(ts))
     conjugate = np.abs(w + q) < 0.5 * (np.abs(w) + np.abs(q))
     assert conjugate.any() and not conjugate.all(), "case selection"
-    for which in ("top", "bot"):
-        theta, dtheta = pair._theta(ts, which)
-        scalar = np.array([pair._theta(t, which) for t in ts])
-        assert np.ndim(pair._theta(ts[0], which)[0]) == 0
+    both, both_scalar = pair._theta(ts), np.array([pair._theta(t) for t in ts])
+    for k in (0, 2):  # top, bot
+        theta, dtheta = both[k:k + 2]
+        scalar = both_scalar[:, k:k + 2]
+        assert np.ndim(pair._theta(ts[0])[k]) == 0
         assert np.allclose(theta, scalar[:, 0], rtol=1e-14, atol=0)
         assert np.allclose(dtheta, scalar[:, 1], rtol=1e-14, atol=0)
 
@@ -468,3 +469,22 @@ def test_nan_in_the_induced_geodesic_residual_fails_the_riccati_check():
     assert rc.riccati_solution_is_geodesic(spec, theta, "real").passes
     report = rc.riccati_solution_is_geodesic(spec, _NanSecondDerivative(theta), "real")
     assert np.isnan(report.geodesic_sup) and not report.passes
+
+
+def test_a_basis_and_its_solutions_are_freed_without_the_cycle_collector(harmonic_basis):
+    """Every solve builds a basis; one that only the cycle collector can free
+    piles up between collections and raises the peak memory of a run."""
+    import gc
+    import weakref
+
+    spec, g, _ = harmonic_basis
+    gc.disable()
+    try:
+        basis = rc.reconstruct_basis(spec, g)
+        solutions = [basis.u_top, basis.u_bot, basis.combination(0.5, 0.5)]
+        assert all(np.isfinite(u.value(1.0)) for u in solutions)
+        ref = weakref.ref(basis)
+        del basis, solutions
+        assert ref() is None
+    finally:
+        gc.enable()
