@@ -271,9 +271,11 @@ def _stack(components: dict, n: int):
 
 def _metric_taylor(spec: GeometrySpec, points):
     """(g0, dg, d2g) of the metric at a (..., n) array of chart points, with
-    one array evaluation of h; see :func:`_stack` for the shapes."""
+    one array evaluation of h; see :func:`_stack` for the shapes. A single
+    point takes the same numpy evaluation of h as a batch (not math/cmath),
+    so its jets equal the batch's entry bit for bit."""
     t, v = chart_points(spec, points)
-    h = eval_jet2(spec.h, t)
+    h = eval_jet2(spec.h, np.asarray(t))
     if spec.dim == 2:
         tt = Taylor2.coordinate(t, 0, 2, v.dtype)
         vt = Taylor2.coordinate(v, 1, 2, v.dtype)

@@ -351,3 +351,14 @@ def test_batched_curvature_equals_one_point_calls(family, data):
         closed = christoffel_at(spec, p, "closed_form").symbols
         scale = max(1.0, float(np.max(np.abs(closed))))
         assert np.max(np.abs(closed - jet)) <= 1e-9 * scale
+
+
+def test_one_point_curvature_equals_its_batch_entry_bit_for_bit():
+    """A single point evaluates h as a batch does: at this kn point the metric
+    is ill-conditioned, and one ulp of difference in h grew to 3e-12 in eta."""
+    spec = make_spec("kn", "z^2+1")
+    p = np.array([1.3627526066260502 / 2, 1.125, 0.22287379823421682 / 2, 0.0])
+    one, batch = curvature_at(spec, p), curvature_at(spec, p[None])
+    assert one.einstein_eta == batch.einstein_eta[0]
+    assert np.array_equal(one.ricci, batch.ricci[0])
+    assert np.array_equal(metric_at(spec, p).components, metric_at(spec, p[None]).components[0])
