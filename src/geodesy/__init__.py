@@ -30,7 +30,6 @@ from .geometry import (
     sample_domain_points,
 )
 from .kahler_norden import (
-    KNPoint,
     cauchy_riemann_residual,
     kn_christoffel_correspondence,
     kn_geodesic_split,
@@ -39,7 +38,6 @@ from .kahler_norden import (
 from .reconstruct import (
     SolutionBasis,
     ThetaPair,
-    degeneracy_probe,
     integrate_riccati,
     invert_to_geodesic,
     ode_residual,

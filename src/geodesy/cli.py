@@ -25,7 +25,7 @@ import numpy as np
 from . import kahler_norden as kn
 from . import reconstruct as rc
 from .errors import GeodesyError, ParseError
-from .expr import parse
+from .expr import eval_jet2, parse
 from .geodesics import (
     ComplexPath,
     ExplicitGeodesic,
@@ -176,7 +176,7 @@ def run_geodesic(scenario: Scenario) -> tuple[list[dict], list[dict]]:
                           _chart_numbers(scenario.require("velocity"), spec))
     traj = integrate_geodesic(spec, state, span, tol=rk_tol)
     grid = np.linspace(traj.s[0], traj.s[-1], scenario.intval("samples", 101))
-    speeds = np.array([traj.speed_squared(s) for s in grid])
+    speeds = traj.speed_squared(grid)
     drift = float(np.max(np.abs(speeds - speeds[0])) / max(abs(speeds[0]), 1e-30))
     checks = [_check("speed_conservation", len(grid), drift, tol)]
     if spec.facts.sign < 0:
@@ -185,16 +185,14 @@ def run_geodesic(scenario: Scenario) -> tuple[list[dict], list[dict]]:
             Family.ADS_MINUS if spec.family is Family.ADS_PLUS else Family.ADS_PLUS,
             spec.h)
         traj2 = integrate_geodesic(other, state, span, tol=rk_tol)
-        hi = min(traj.s[-1], traj2.s[-1])
-        dev = _sup([np.max(np.abs(np.concatenate(traj.state_at(s))
-                                  - np.concatenate(traj2.state_at(s))))
-                    for s in np.linspace(traj.s[0], hi, 33)])
+        shared = np.linspace(traj.s[0], min(traj.s[-1], traj2.s[-1]), 33)
+        dev = _sup(np.abs(np.concatenate(traj.state_at(shared))
+                          - np.concatenate(traj2.state_at(shared))))
         checks.append(_check("ads_sign_shared_geodesics", 33, dev, 1e-10))
     names = spec.coord_names
-    rows = []
-    for s in grid:
-        q, v = traj.state_at(s)
-        rows.append({"s": s, **dict(zip(names, q)), **dict(zip(["d" + n for n in names], v))})
+    coords, velocities = traj.state_at(grid)
+    rows = [{"s": s, **dict(zip(names, q)), **dict(zip(["d" + n for n in names], v))}
+            for s, q, v in zip(grid, coords.T, velocities.T)]
     rows.append({"s": f"termination={traj.termination.value}"})
     return checks, rows
 
@@ -233,28 +231,31 @@ def run_solve(scenario: Scenario) -> tuple[list[dict], list[dict]]:
     tol = scenario.tol
     g, is_geodesic = _solve_geodesic(scenario, spec)
     basis = rc.reconstruct_basis(spec, g, check_residual=False)
-    a_coef = scenario.floatval("A", 1.0)
-    b_coef = scenario.floatval("B", 0.0)
-    u = basis.combination(a_coef, b_coef)
     lo, hi = g.support
     grid = np.linspace(lo, hi, scenario.intval("samples", 101))
-    residual = np.abs(rc.ode_residual(spec.h, u, grid))
-    res_top = np.abs(rc.ode_residual(spec.h, basis.u_top, grid))
-    res_bot = np.abs(rc.ode_residual(spec.h, basis.u_bot, grid))
+    z = g.point(grid)
+    # one evaluation of the basis serves every solution, check and column;
+    # h comes from its own jet, so u'' + h u still tests the pair formula
+    jets = basis.jets(grid)
+    h = eval_jet2(spec.h, z).value
+    solutions = {"u": jets.combination(scenario.floatval("A", 1.0),
+                                       scenario.floatval("B", 0.0)),
+                 "u_top": jets.top, "u_bot": jets.bot}
+    residual, res_top, res_bot = (np.abs(d2 + h * val) for val, _, d2 in solutions.values())
     # np.max keeps a NaN deviation (the builtin max drops it), so the check fails
     checks = [
         _check("ode_residual", len(grid), float(np.max(residual)), tol),
         _check("ode_residual_basis", len(grid),
                float(np.max(np.concatenate([res_top, res_bot]))), tol),
     ]
-    wr = basis.wronskian(grid)
     if not basis.theta.coincident:
+        wr = jets.wronskian
         checks.append(_check("wronskian_constant", len(grid),
                              float(np.max(np.abs(wr - wr[0]))
                                    / max(abs(wr[0]), 1e-30)), tol))
     sign = -float(spec.facts.sign)  # top*bot = -s value^2
     values = g.value(grid)
-    prod_dev = np.max(np.abs(basis.theta.product(grid) - sign * values ** 2))
+    prod_dev = np.max(np.abs(jets.product - sign * values ** 2))
     checks.append(_check("theta_product_identity", len(grid), float(prod_dev),
                          max(tol * 1e-3, 1e-9)))
     if is_geodesic:
@@ -262,10 +263,8 @@ def run_solve(scenario: Scenario) -> tuple[list[dict], list[dict]]:
         rt = np.max(np.abs(g_rec.value(grid) - values))
         checks.append(_check("inversion_round_trip", len(grid), float(rt),
                              max(tol * 0.1, 1e-7)))
-    z = g.point(grid)
     columns = {"param": grid, "point_re": np.real(z), "point_im": np.imag(z)}
-    for name, uu in (("u", u), ("u_top", basis.u_top), ("u_bot", basis.u_bot)):
-        val = uu.value(grid)
+    for name, (val, _, _) in solutions.items():
         columns[f"{name}_re"] = np.real(val)
         columns[f"{name}_im"] = np.imag(val)
     columns["ode_residual"] = residual
@@ -296,9 +295,9 @@ def run_riccati(scenario: Scenario) -> tuple[list[dict], list[dict]]:
         _check("induced_geodesic_residual", 257, report.geodesic_sup, tol),
     ]
     lo, hi = theta.support
-    rows = [{"x": t, "theta_re": np.real(theta.value(t)),
-             "theta_im": np.imag(theta.value(t))}
-            for t in np.linspace(lo, hi, scenario.intval("samples", 51))]
+    xs = np.linspace(lo, hi, scenario.intval("samples", 51))
+    rows = [{"x": x, "theta_re": np.real(v), "theta_im": np.imag(v)}
+            for x, v in zip(xs, theta.value(xs))]
     return checks, rows
 
 

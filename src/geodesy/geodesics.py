@@ -131,10 +131,6 @@ class ComplexPath:
             verts.append(complex(float(re_s), float(im_s)))
         return cls.polyline(verts)
 
-    @classmethod
-    def straight(cls, z0: complex, z1: complex) -> "ComplexPath":
-        return cls.polyline([z0, z1])
-
     def point(self, s):
         """zeta(s); ``s`` may be an array of parameters."""
         return _complex_out(self._point(s), s)
@@ -188,11 +184,12 @@ class GeodesicTrajectory:
         n = self.spec.dim
         return c[:n], c[n:]
 
-    def speed_squared(self, s: float) -> complex:
-        """g(velocity, velocity); conserved along Levi-Civita geodesics."""
+    def speed_squared(self, s):
+        """g(velocity, velocity) at ``s`` (a number or an array); conserved
+        along Levi-Civita geodesics."""
         q, v = self.state_at(s)
-        g = metric_at(self.spec, q).components
-        return v @ g @ v
+        g, v = metric_at(self.spec, q.T).components, v.T
+        return (v[..., None, :] @ g @ v[..., :, None])[..., 0, 0][()]
 
 
 def accelerations(spec: GeometrySpec, coords, velocities) -> np.ndarray:

@@ -41,38 +41,6 @@ CR_STEP = 1e-5
 KN_RK_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class KNPoint:
-    x: float
-    phi: float
-    y: float
-    psi: float
-
-    @property
-    def z(self) -> complex:
-        return complex(self.x, self.y)
-
-    @property
-    def X(self) -> complex:
-        return complex(self.phi, self.psi)
-
-    @property
-    def delta_plus(self) -> float:
-        return self.phi ** 2 + self.psi ** 2
-
-    @property
-    def delta_minus(self) -> float:
-        return self.phi ** 2 - self.psi ** 2
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.x, self.phi, self.y, self.psi)
-
-
-def _coords(p) -> np.ndarray:
-    """Chart points (x, Phi, y, Psi) as a float array of shape (..., 4)."""
-    return np.asarray(p.as_tuple() if isinstance(p, KNPoint) else p, dtype=float)
-
-
 def _require_kn(spec: GeometrySpec) -> GeometrySpec:
     """The complex-chart spec sharing the h of a 4D spec."""
     if spec.family is not Family.KAHLER_NORDEN:
@@ -105,7 +73,7 @@ def kn_metric_from_correspondence(spec: GeometrySpec, p) -> np.ndarray:
     """Re[G_ab dZ^a dZ^b] written out over (x, Phi, y, Psi), at one point or
     at each point of a (..., 4) array."""
     _require_kn(spec)
-    z, X = chart_points(spec, _coords(p))
+    z, X = chart_points(spec, np.asarray(p, dtype=float))
     h = eval_jet2(spec.h, z).value
     g_zz = (h - X * X) ** 2 / (X * X)
     g_xx = 1.0 / (X * X)
@@ -115,7 +83,7 @@ def kn_metric_from_correspondence(spec: GeometrySpec, p) -> np.ndarray:
 def kn_metric_consistency(spec: GeometrySpec, p):
     """Sup-norm gap between the explicit 4D components and Re[G dZ dZ]: a
     float at one point, an array of gaps over a (..., 4) array of points."""
-    coords = _coords(p)
+    coords = np.asarray(p, dtype=float)
     explicit = metric_at(spec, coords).components
     built = kn_metric_from_correspondence(spec, coords)
     return np.max(np.abs(explicit - built), axis=(-2, -1))
@@ -149,7 +117,7 @@ def kn_christoffel_correspondence(spec: GeometrySpec, p) -> KNChristoffelReport:
     all-slot mismatch, the largest symbol outside the correspondence pattern,
     and each displayed Re/Im identity group separately.
     """
-    coords = _coords(p)
+    coords = np.asarray(p, dtype=float)
     hat = christoffel_at(spec, coords, "from_jets").symbols
     spec_c = _require_kn(spec)
     ups = np.array([christoffel_table(spec_c, chart_pair(spec, q))
@@ -197,7 +165,7 @@ def kn_geodesic_split(spec: GeometrySpec, initial: GeodesicState, s_span,
     basis reconstructed in the complex chart.
     """
     spec_c = _require_kn(spec)
-    coords = tuple(_coords(initial.coords).tolist())
+    coords = tuple(np.asarray(initial.coords, dtype=float).tolist())
     require_in_domain(spec, coords)
     vel = tuple(float(v) for v in initial.velocity)
     traj4 = integrate_geodesic(spec, GeodesicState(coords, vel), s_span, tol=KN_RK_TOL)

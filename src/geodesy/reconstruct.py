@@ -20,9 +20,12 @@ value^2 = -s top*bot.
 
 The two branches share every term but the sign of the unit, so each query
 evaluates both in one pass: one read of the geodesic and of h, one den, one
-tracked root, and one Gauss rule for both exponents. The solutions are
-weights over that one evaluation: u_top is (1, 0), u_bot is (0, 1) and
-A u_top + B u_bot is (A, B).
+tracked root, and one Gauss rule for both exponents. One evaluation,
+SolutionBasis.jets, serves every solution and every check of the basis: it
+gives u, u' and u'' of both solutions from one values call and one Theta
+read. The solutions are weights over it (u_top is (1, 0), u_bot is (0, 1)
+and A u_top + B u_bot is (A, B)), and the Wronskian and the product
+top*bot read the same arrays.
 """
 
 from __future__ import annotations
@@ -100,26 +103,6 @@ class _TrackedSqrt:
         return np.where(np.abs(cand - anchor) <= np.abs(-cand - anchor), cand, -cand)
 
 
-class _ThetaView:
-    """One Theta of a pair as a dense scalar function (value and derivative)."""
-
-    def __init__(self, pair: "ThetaPair", index: int):
-        self._pair = pair
-        self._index = index  # of the value in the tuple of ThetaPair._theta
-
-    @property
-    def support(self):
-        return self._pair.support
-
-    def value(self, t):
-        return self._pair._theta(t)[self._index]
-
-    def d1(self, t):
-        return self._pair._theta(t)[self._index + 1]
-
-    __call__ = value
-
-
 @dataclass
 class ThetaPair:
     """Branch-tracked logarithmic derivatives of the two solutions."""
@@ -144,17 +127,6 @@ class ThetaPair:
         g = self.geodesic
         hj = eval_jet2(self.spec.h, g.point(t))
         return g.value(t), g.slope(t), g.second(t), hj.value, hj.d1
-
-    def radicand(self, t):
-        return _sampled_den_and_radicand(self.spec, self.geodesic, _params(t))[1]
-
-    def velocity_norm(self, t):
-        """Tracked speed L of the explicit-form geodesic (radicand's root)."""
-        if self.coincident:
-            return 0.0
-        t = _params(t)
-        out = self._sqrt(t, self.radicand(t))[()]
-        return out.real if self.is_real_output else out
 
     def _theta(self, t):
         """(top, top', bot, bot') at parameter t (a number or an array);
@@ -208,12 +180,6 @@ class ThetaPair:
         top, _, bot, _ = self._theta(t)
         return top * bot
 
-    def top_view(self) -> _ThetaView:
-        return _ThetaView(self, 0)
-
-    def bot_view(self) -> _ThetaView:
-        return _ThetaView(self, 2)
-
 
 def _params(t):
     """A parameter as a float, or parameters as a float array."""
@@ -227,18 +193,14 @@ def _den_and_radicand(s: int, h, v, w):
     return den, add_signed(den ** 2, s, w * w)
 
 
-def _sampled_den_and_radicand(spec: GeometrySpec, g: ExplicitGeodesic, t):
-    """:func:`_den_and_radicand` at parameters ``t`` of ``g``, in complex arithmetic."""
-    data = (eval_jet2(spec.h, g.point(t)).value, g.value(t), g.slope(t))
-    return _den_and_radicand(spec.facts.sign, *(np.asarray(d, dtype=complex) for d in data))
-
-
 def theta_from_geodesic(spec: GeometrySpec, g: ExplicitGeodesic) -> ThetaPair:
     """Build the branch-tracked Theta pair of an explicit-form geodesic."""
     if spec.dim != 2:
         raise ValueError("use the complex chart for the 4D family")
     grid = g._values.refined(1)
-    dens, rads = _sampled_den_and_radicand(spec, g, grid)
+    data = (eval_jet2(spec.h, g.point(grid)).value, g.value(grid), g.slope(grid))
+    dens, rads = _den_and_radicand(spec.facts.sign,
+                                   *(np.asarray(d, dtype=complex) for d in data))
     den_scale = float(np.max(np.abs(dens))) or 1.0
     if np.min(np.abs(dens)) <= 1e-12 * den_scale:
         worst = grid[int(np.argmin(np.abs(dens)))]
@@ -256,14 +218,54 @@ def theta_from_geodesic(spec: GeometrySpec, g: ExplicitGeodesic) -> ThetaPair:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
 
 
+def _weigh(weights, top, bot):
+    """a top + b bot for weights (a, b). A weight of 0 drops its term (a
+    non-finite partner does not turn the sum into NaN) and a weight of 1
+    takes it as it is, so (1, 0) and (0, 1) are the solutions themselves."""
+    a, b = weights
+    if a == 0 or b == 0:
+        w, u = (a, top) if b == 0 else (b, bot)
+        return u if w == 1 else w * u
+    return a * top + b * bot
+
+
+class BasisJets:
+    """u, u' and u'' of both solutions at the same parameters.
+
+    ``top`` and ``bot`` are the (u, u', u'') triples, built from one
+    ``values`` call and one Theta read: u' = Theta u and
+    u'' = (Theta' + Theta^2) u. ``theta`` is that read, (top, top', bot,
+    bot') as ThetaPair._theta returns it.
+    """
+
+    def __init__(self, values, theta):
+        (top, bot), (th_top, dth_top, th_bot, dth_bot) = values, theta
+        self.theta = theta
+        self.top = (top, th_top * top, (dth_top + th_top * th_top) * top)
+        self.bot = (bot, th_bot * bot, (dth_bot + th_bot * th_bot) * bot)
+
+    def combination(self, a, b) -> tuple:
+        """(u, u', u'') of a u_top + b u_bot."""
+        return tuple(_weigh((a, b), top, bot) for top, bot in zip(self.top, self.bot))
+
+    @property
+    def wronskian(self):
+        """u_top u_bot' - u_top' u_bot."""
+        (top, d1_top, _), (bot, d1_bot, _) = self.top, self.bot
+        return top * d1_bot - d1_top * bot
+
+    @property
+    def product(self):
+        """Theta_top Theta_bot; see ThetaPair.product."""
+        top, _, bot, _ = self.theta
+        return top * bot
+
+
 class _Solution:
     """a u_top + b u_bot as a dense function with two derivatives.
 
-    The weights apply to one evaluation of both solutions. A weight of 0
-    drops its solution (a non-finite partner does not turn the sum into
-    NaN) and a weight of 1 takes it as it is, so u_top = (1, 0) and
-    u_bot = (0, 1) are the solutions themselves. For path reconstructions
-    u', u'' are z-derivatives.
+    The weights apply to one evaluation of both solutions (see _weigh). For
+    path reconstructions u', u'' are z-derivatives.
     """
 
     def __init__(self, basis: "SolutionBasis", a, b):
@@ -278,23 +280,14 @@ class _Solution:
     def _pair(self):
         return self.basis.theta
 
-    def _weigh(self, top, bot):
-        a, b = self.weights
-        if a == 0 or b == 0:
-            w, u = (a, top) if b == 0 else (b, bot)
-            return u if w == 1 else w * u
-        return a * top + b * bot
-
     def value(self, t):
-        return self._weigh(*self.basis.values(t))
+        return _weigh(self.weights, *self.basis.values(t))
 
     def d1(self, t):
-        (top, bot), (th_top, _, th_bot, _) = self.basis.values(t), self._pair._theta(t)
-        return self._weigh(th_top * top, th_bot * bot)
+        return self.basis.jets(t).combination(*self.weights)[1]
 
     def d2(self, t):
-        (top, bot), (th_top, dth_top, th_bot, dth_bot) = self.basis.values(t), self._pair._theta(t)
-        return self._weigh((dth_top + th_top * th_top) * top, (dth_bot + th_bot * th_bot) * bot)
+        return self.basis.jets(t).combination(*self.weights)[2]
 
     __call__ = value
 
@@ -366,9 +359,12 @@ class SolutionBasis:
         out = tuple(np.exp(e) for e in self.exponents(t))
         return tuple(u.real for u in out) if self.theta.is_real_output else out
 
+    def jets(self, t) -> BasisJets:
+        """u, u' and u'' of both solutions at t (a number or an array)."""
+        return BasisJets(self.values(t), self.theta._theta(t))
+
     def wronskian(self, t):
-        (top, bot), (th_top, _, th_bot, _) = self.values(t), self.theta._theta(t)
-        return top * (th_bot * bot) - (th_top * top) * bot
+        return self.jets(t).wronskian
 
     def combination(self, a: float, b: float) -> _Solution:
         """A u_top + B u_bot as a dense function."""
@@ -589,7 +585,7 @@ def riccati_solution_is_geodesic(spec: GeometrySpec, theta,
     return RiccatiGeodesicReport(float(ric), float(np.max(devs)), tol, factor)
 
 
-# --- path independence and degeneracy ---------------------------------------------
+# --- path independence -----------------------------------------------------------
 
 @dataclass(frozen=True)
 class PathIndependenceReport:
@@ -634,17 +630,3 @@ def path_independence_check(spec: GeometrySpec, g: ExplicitGeodesic,
         integrals.append(basis.exponents(1.0))
     (ta, ba), (tb, bb) = integrals
     return PathIndependenceReport(abs(ta - tb), abs(ba - bb), tol)
-
-
-@dataclass(frozen=True)
-class DegeneracyReport:
-    degenerate: bool
-    radicand_sup: float
-    threshold: float
-
-
-def degeneracy_probe(spec: GeometrySpec, g: ExplicitGeodesic) -> DegeneracyReport:
-    """Flag a radicand that vanishes identically (basis not independent)."""
-    _, rads = _sampled_den_and_radicand(spec, g, g._values.refined(2))
-    sup = float(np.max(np.abs(rads)))
-    return DegeneracyReport(sup < DEGENERACY_TOL, sup, DEGENERACY_TOL)

@@ -1,14 +1,16 @@
 """CLI contract: exit codes, JSON reports, determinism, CSV, scenario pools."""
 
+import configparser
 import csv
 import dataclasses
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from geodesy import cli
+from geodesy import cli, reconstruct as rc
 
 
 def run_cli(capsys, *argv):
@@ -265,6 +267,44 @@ def test_shipped_pool_verifies(capsys):
     assert {s["name"]: s["pass"] for s in report["scenarios"]} == SHIPPED_POOL_VERDICTS
     control = [s for s in report["scenarios"] if not s["pass"]]
     assert [s["expected_fail"] for s in control] == [True]
+
+
+def _shipped_sections(kind):
+    parser = configparser.ConfigParser()
+    parser.read_string((resources.files("geodesy") / "data" / "default_pool.cfg").read_text())
+    for name in parser.sections():
+        values = dict(parser.items(name))
+        if values.pop("kind") == kind:
+            values.pop("expect", None)
+            yield pytest.param(values, id=name)
+
+
+@pytest.mark.parametrize("values", _shipped_sections("solve"))
+def test_solve_deviations_equal_separate_queries_of_each_solution(values):
+    """run_solve reads one evaluation of the basis; its deviations are exactly
+    those that separate queries of each solution give on the same grid."""
+    scenario = cli.Scenario(values)
+    checks, _ = cli.run_solve(scenario)
+    spec = cli._spec_from(scenario)
+    g, _ = cli._solve_geodesic(scenario, spec)
+    basis = rc.reconstruct_basis(spec, g, check_residual=False)
+    grid = np.linspace(*g.support, scenario.intval("samples", 101))
+    u = basis.combination(scenario.floatval("A", 1.0), scenario.floatval("B", 0.0))
+
+    def sup_residual(f):
+        return float(np.max(np.abs(rc.ode_residual(spec.h, f, grid))))
+
+    wr = basis.wronskian(grid)
+    sign = -float(spec.facts.sign)
+    expected = {
+        "ode_residual": sup_residual(u),
+        "ode_residual_basis": max(sup_residual(basis.u_top), sup_residual(basis.u_bot)),
+        "wronskian_constant": float(np.max(np.abs(wr - wr[0])) / max(abs(wr[0]), 1e-30)),
+        "theta_product_identity": float(np.max(np.abs(
+            basis.theta.product(grid) - sign * g.value(grid) ** 2))),
+    }
+    got = {c["name"]: c["max_deviation"] for c in checks if c["name"] in expected}
+    assert got == expected
 
 
 def _reject_constant(token):

@@ -44,18 +44,24 @@ def test_speed_is_conserved(family, h, coords, velocity):
     spec = make_spec(family, h)
     traj = integrate_geodesic(spec, GeodesicState(coords, velocity), (0, 1.2),
                               tol=1e-11)
-    speeds = np.array([traj.speed_squared(s)
-                       for s in np.linspace(0, traj.s[-1], 40)])
+    grid = np.linspace(0, traj.s[-1], 40)
+    speeds = np.array([traj.speed_squared(s) for s in grid])
     assert np.max(np.abs(speeds - speeds[0])) / abs(speeds[0]) < 1e-6
+    # one array call gives the per-point values; one point gives a scalar
+    assert np.array_equal(traj.speed_squared(grid), speeds)
+    assert np.ndim(traj.speed_squared(grid[3])) == 0
 
 
 def test_complex_speed_is_conserved_as_complex_constant():
     spec = make_spec("complex", "exp(z)")
     state = GeodesicState((0.0 + 0j, 1.5j), (1.0 + 0.5j, 0.2 - 0.1j))
     traj = integrate_geodesic(spec, state, (0, 0.8), tol=1e-11)
-    speeds = np.array([traj.speed_squared(s)
-                       for s in np.linspace(0, traj.s[-1], 30)])
+    grid = np.linspace(0, traj.s[-1], 30)
+    speeds = np.array([traj.speed_squared(s) for s in grid])
     assert np.max(np.abs(speeds - speeds[0])) / abs(speeds[0]) < 1e-6
+    # one array call: numpy's array loops may round complex products apart
+    # from its scalars, by an ulp or so
+    assert np.max(np.abs(traj.speed_squared(grid) - speeds) / np.abs(speeds)) < 1e-14
 
 
 def test_ads_signs_share_trajectories():

@@ -35,18 +35,10 @@ def test_cauchy_riemann_pool_sweep():
             assert max(r1, r2) < 1e-8
 
 
-def test_knpoint_helpers():
-    p = kn.KNPoint(0.4, 1.1, -0.3, 0.7)
-    assert p.z == 0.4 - 0.3j
-    assert p.X == 1.1 + 0.7j
-    assert p.delta_plus == pytest.approx(1.1 ** 2 + 0.7 ** 2)
-    assert p.delta_minus == pytest.approx(1.1 ** 2 - 0.7 ** 2)
-
-
 def test_metric_consistency_submanifold_and_generic():
     spec = make_spec("kn", "z^2+1")
     assert kn.kn_metric_consistency(spec, (0.4, 1.1, 0.0, 0.0)) < 1e-14
-    assert kn.kn_metric_consistency(spec, kn.KNPoint(0.4, 1.1, -0.3, 0.7)) < 1e-10
+    assert kn.kn_metric_consistency(spec, (0.4, 1.1, -0.3, 0.7)) < 1e-10
 
 
 def test_metric_consistency_random_sweep():

@@ -18,6 +18,21 @@ from geodesy.errors import (
 from geodesy.geodesics import ComplexPath, ExplicitGeodesic, integrate_explicit
 
 
+def _radicand_and_root(pair, ts):
+    """The radicand den^2 + s w^2 at ``ts`` and its root as the pair tracks it
+    (the speed L of the explicit-form geodesic)."""
+    v, w, _, h, _ = pair._data(ts)
+    _, radicand = rc._den_and_radicand(pair.spec.facts.sign, h, v, w)
+    return radicand, pair._sqrt(ts, radicand)
+
+
+def _riccati_residuals(pair, ts):
+    """Theta' + Theta^2 + h of top and of bot, from one read of the pair."""
+    top, dtop, bot, dbot = pair._theta(ts)
+    h = expr.eval_jet2(pair.spec.h, pair.geodesic.point(ts)).value
+    return dtop + top * top + h, dbot + bot * bot + h
+
+
 def test_theta_constant_hyperbolic():
     """h = -1, Phi = 1: (0 - 2)/(-2) = 1 and (0 + 2)/(-2) = -1."""
     spec = make_spec("hyperbolic", "-1")
@@ -26,7 +41,7 @@ def test_theta_constant_hyperbolic():
     assert pair.top(0.7) == pytest.approx(1.0, abs=1e-13)
     assert pair.bot(0.7) == pytest.approx(-1.0, abs=1e-13)
     assert not pair.coincident
-    assert pair.velocity_norm(0.7) == pytest.approx(2.0, abs=1e-13)
+    assert _radicand_and_root(pair, 0.7)[1] == pytest.approx(2.0, abs=1e-13)
 
 
 def test_theta_harmonic_oscillator(harmonic_basis):
@@ -130,18 +145,16 @@ def test_riccati_residual_trivial_cases():
 def test_riccati_property_on_geodesic_thetas(airy_basis):
     spec, g, basis = airy_basis
     grid = np.linspace(*g.support, 120)
-    pair = basis.theta
-    for view in (pair.top_view(), pair.bot_view()):
-        assert np.max(np.abs(rc.riccati_residual(spec.h, view, grid))) < 1e-6
+    for residual in _riccati_residuals(basis.theta, grid):
+        assert np.max(np.abs(residual)) < 1e-6
 
 
-def test_velocity_norm_positive_on_hyperbolic_support(airy_basis):
+def test_tracked_root_positive_on_hyperbolic_support(airy_basis):
     """(h - Phi^2)^2 and Phi'^2 cannot vanish together on the domain."""
     spec, g, basis = airy_basis
-    norms = np.array([basis.theta.velocity_norm(t)
-                      for t in np.linspace(*g.support, 80)])
-    assert np.all(norms > 0)
-    assert np.all(np.isreal(norms))
+    _, norms = _radicand_and_root(basis.theta, np.linspace(*g.support, 80))
+    assert np.all(norms.real > 0)
+    assert np.all(norms.imag == 0)
 
 
 def test_monotonicity_labels_hyperbolic(airy_basis):
@@ -264,7 +277,7 @@ def test_riccati_gate_rejects_non_solutions():
         rc.riccati_solution_is_geodesic(spec, theta, "real", tol=1e-6)
 
 
-def test_degeneracy_probe_tanh_case():
+def test_tanh_geodesic_gives_a_coincident_pair():
     """Psi = tanh solves the ads equation for h = -1 with
     (h + Psi^2)^2 = Psi'^2 identically: a degenerate (coincident) pair."""
     spec = make_spec("ads+", "-1")
@@ -272,8 +285,6 @@ def test_degeneracy_probe_tanh_case():
         spec, np.tanh, (0.5, 2.0),
         dfn=lambda x: 1 / np.cosh(x) ** 2,
         d2fn=lambda x: -2 * np.tanh(x) / np.cosh(x) ** 2)
-    probe = rc.degeneracy_probe(spec, g)
-    assert probe.degenerate
     pair = rc.theta_from_geodesic(spec, g)
     assert pair.coincident
     # both Thetas collapse onto tanh itself
@@ -283,14 +294,11 @@ def test_degeneracy_probe_tanh_case():
     assert abs(basis.wronskian(1.0)) < 1e-12
 
 
-def test_degeneracy_probe_clear_cases(airy_geodesic, harmonic_basis):
+def test_clear_cases_are_not_coincident(airy_geodesic, harmonic_basis):
     spec_a, g_a, _ = harmonic_basis
-    probe = rc.degeneracy_probe(spec_a, g_a)
-    assert not probe.degenerate
-    # harmonic oscillator radicand is 4 omega^4 = 4
-    assert probe.radicand_sup == pytest.approx(4.0, rel=1e-12)
+    assert not rc.theta_from_geodesic(spec_a, g_a).coincident
     spec_h, g_h = airy_geodesic
-    assert not rc.degeneracy_probe(spec_h, g_h).degenerate
+    assert not rc.theta_from_geodesic(spec_h, g_h).coincident
 
 
 def test_path_independence_exp(airy_geodesic):
@@ -338,17 +346,16 @@ def test_branch_tracking_through_complex_winding():
     g = integrate_explicit(spec, 0.5, 2.0 + 0j, 1.5j, path=path, tol=1e-12)
     pair = rc.theta_from_geodesic(spec, g)
     ts = np.linspace(0, 1, 600)
-    rads = np.array([pair.radicand(t) for t in ts])
+    rads, tracked = _radicand_and_root(pair, ts)
     crosses = np.any((rads.real[:-1] < 0)
                      & (np.sign(rads.imag[:-1]) != np.sign(rads.imag[1:])))
     assert crosses, "case selection: radicand must cross the branch cut"
     principal = np.sqrt(rads)
-    tracked = np.array([pair.velocity_norm(t) for t in ts])
     assert np.abs(np.diff(principal)).max() > 0.5  # the cut is really crossed
     assert np.abs(np.diff(tracked)).max() < 0.05
     # the continued branch keeps Theta a Riccati solution; the principal
     # branch could not
-    assert np.max(np.abs(rc.riccati_residual(spec.h, pair.top_view(), ts))) < 1e-6
+    assert np.max(np.abs(_riccati_residuals(pair, ts)[0])) < 1e-6
 
 
 def test_radicand_grazing_zero_is_flagged():
@@ -363,11 +370,11 @@ def test_radicand_grazing_zero_is_flagged():
     pair = rc.theta_from_geodesic(spec, g)
     lo, hi = g.support
     ts = np.linspace(lo, hi, 400)
-    rads = np.array([pair.radicand(t) for t in ts])
+    rads, _ = _radicand_and_root(pair, ts)
     assert rads.min() < 1e-10, "case selection: radicand must graze zero"
     assert pair.flagged_params, "graze must be flagged"
     away = np.abs(rads) > 0.05
-    rr = np.abs(rc.riccati_residual(spec.h, pair.top_view(), ts[away]))
+    rr = np.abs(_riccati_residuals(pair, ts[away])[0])
     assert rr.max() < 1e-6
 
 
@@ -408,6 +415,14 @@ def test_basis_values_do_not_depend_on_query_order(query_bases):
                 assert np.all(np.abs(other - forward) <= 1e-14 * scale)
             assert np.all(np.abs(one_by_one - forward[shuffled]) <= 1e-14 * scale[shuffled])
             assert np.ndim(u.value(ts[3])) == 0 and np.ndim(u.d2(ts[3])) == 0
+        # the one evaluation behind every solution: one point is its array
+        # entry (up to the rounding of complex products, which numpy's array
+        # loops may round differently from its scalars)
+        jets, at_one = basis.jets(ts), basis.jets(ts[3])
+        for array, point in zip((*jets.top, *jets.bot, *jets.theta, jets.wronskian),
+                                (*at_one.top, *at_one.bot, *at_one.theta, at_one.wronskian)):
+            assert np.ndim(point) == 0
+            assert abs(point - array[3]) <= 1e-14 * abs(array[3])
 
 
 def test_array_theta_matches_scalar_where_the_conjugate_form_is_taken(airy_basis):
@@ -416,7 +431,7 @@ def test_array_theta_matches_scalar_where_the_conjugate_form_is_taken(airy_basis
     pair = basis.theta
     ts = np.linspace(*g.support, 301)
     v, w, _, h, _ = pair._data(ts)
-    q = -pair._sqrt(ts, pair.radicand(ts))
+    q = -_radicand_and_root(pair, ts)[1]
     conjugate = np.abs(w + q) < 0.5 * (np.abs(w) + np.abs(q))
     assert conjugate.any() and not conjugate.all(), "case selection"
     both, both_scalar = pair._theta(ts), np.array([pair._theta(t) for t in ts])
