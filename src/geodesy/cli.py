@@ -15,7 +15,6 @@ import configparser
 import csv
 import json
 import math
-import os
 import sys
 import time
 from importlib import resources
@@ -43,11 +42,6 @@ from .geometry import (
 )
 
 DEFAULT_TOL = 1e-6
-
-
-def _default_tol() -> float:
-    env = os.environ.get("GEODESY_DEFAULT_TOL")
-    return float(env) if env else DEFAULT_TOL
 
 
 def _check(name: str, points: int, max_dev: float, tol: float) -> dict:
@@ -113,7 +107,7 @@ class Scenario:
 
     @property
     def tol(self) -> float:
-        return self.floatval("tol", _default_tol())
+        return self.floatval("tol", DEFAULT_TOL)
 
     @property
     def seed(self) -> int:
@@ -170,7 +164,7 @@ def run_curvature(scenario: Scenario) -> tuple[list[dict], list[dict]]:
 def run_geodesic(scenario: Scenario) -> tuple[list[dict], list[dict]]:
     spec = _spec_from(scenario)
     tol = scenario.tol
-    rk_tol = scenario.floatval("rk_tol", 1e-11)
+    rk_tol = 1e-11
     span = _span(scenario.require("span"))
     state = GeodesicState(_chart_numbers(scenario.require("coords"), spec),
                           _chart_numbers(scenario.require("velocity"), spec))
@@ -209,13 +203,12 @@ def _solve_geodesic(scenario: Scenario, spec: GeometrySpec):
             spec, lambda x: level, span,
             dfn=lambda x: 0.0, d2fn=lambda x: 0.0)
         return g, False
-    rk_tol = scenario.floatval("rk_tol", 1e-12)
     max_step = scenario.get("max_step")
     cap = scenario.floatval("value_cap", 1e6)
     number = _complex_scalar if spec.is_complex_chart else float
     value0 = number(scenario.require("value0"))
     slope0 = number(scenario.get("slope0", "0"))
-    options = {"tol": rk_tol, "value_cap": cap,
+    options = {"tol": 1e-12, "value_cap": cap,
                "max_step": float(max_step) if max_step else None}
     if spec.is_complex_chart:
         path = ComplexPath.from_text(scenario.require("path"))
@@ -287,8 +280,7 @@ def run_riccati(scenario: Scenario) -> tuple[list[dict], list[dict]]:
     theta0 = number(scenario.require("theta0"))
     span = _span(scenario.require("span"))
     x0 = scenario.floatval("x0", span[0])
-    theta = rc.integrate_riccati(h, theta0, x0, span,
-                                 tol=scenario.floatval("rk_tol", 1e-12))
+    theta = rc.integrate_riccati(h, theta0, x0, span)
     report = rc.riccati_solution_is_geodesic(spec, theta, sign_mode, tol=tol)
     checks = [
         _check("riccati_residual", 257, report.riccati_sup, tol),
@@ -320,13 +312,8 @@ def run_kn_verify(scenario: Scenario) -> tuple[list[dict], list[dict]]:
         _check("christoffel_correspondence", points,
                kn.kn_christoffel_correspondence(spec, pts).worst, 1e-8),
     ]
-    coords = tuple(float(v) for v in
-                   scenario.get("split_coords", "0,1.6,0,0.4").split(","))
-    velocity = tuple(float(v) for v in
-                     scenario.get("split_velocity", "1,0.2,0.5,-0.1").split(","))
-    span = _span(scenario.get("split_span", "0,1"))
-    split = kn.kn_geodesic_split(spec, GeodesicState(coords, velocity), span,
-                                 tol=scenario.floatval("split_tol", 1e-8))
+    split = kn.kn_geodesic_split(
+        spec, GeodesicState((0.0, 1.6, 0.0, 0.4), (1.0, 0.2, 0.5, -0.1)), (0.0, 1.0))
     checks.append(_check("geodesic_split_coords", len(split.s_grid),
                          split.coord_sup, split.tolerance))
     checks.append(_check("geodesic_split_basis", 17, split.basis_sup,

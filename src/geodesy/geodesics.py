@@ -2,7 +2,8 @@
 
 Affine form solves d2q^i/ds2 + Gamma^i_jk dq^j/ds dq^k/ds = 0 with an
 embedded adaptive Runge-Kutta 5(4) scheme (dense output, event location).
-Complex charts are integrated as doubled real systems.
+The solver steps each chart in its own numbers: complex on the complex chart,
+where it measures a component's error by its modulus.
 
 Explicit form eliminates the affine parameter: a geodesic becomes a function
 of the first chart coordinate (Phi(x), Psi(x)) or, for the complex family, a
@@ -52,28 +53,8 @@ class Termination(enum.Enum):
     TURNING_POINT = "turning_point"
 
 
-def _to_real(c) -> np.ndarray:
-    c = np.asarray(c, dtype=complex)
-    out = np.empty(2 * c.size)
-    out[0::2] = c.real
-    out[1::2] = c.imag
-    return out
-
-
-def _to_complex(r) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    return r[0::2] + 1j * r[1::2]
-
-
 def _complex_out(value, s):
     return complex(value) if np.ndim(s) == 0 else np.asarray(value, dtype=complex)
-
-
-def _packing(spec: GeometrySpec):
-    """(pack, unpack) between chart values and the real solver state."""
-    if spec.is_complex_chart:
-        return _to_real, _to_complex
-    return (lambda c: np.asarray(c, dtype=float)), (lambda r: r)
 
 
 # --- complex paths -------------------------------------------------------------
@@ -118,9 +99,7 @@ class ComplexPath:
             i = segment(s)
             return chords[i] / widths[i]
 
-        path = cls(point, velocity, breaks)
-        path.vertices = verts
-        return path
+        return cls(point, velocity, breaks)
 
     @classmethod
     def from_text(cls, text: str) -> "ComplexPath":
@@ -180,7 +159,7 @@ class GeodesicTrajectory:
         lo, hi = self.s_span
         if np.any(np.asarray(s) < lo - 1e-12) or np.any(np.asarray(s) > hi + 1e-12):
             raise OutsideSupportError(f"s={s} outside [{lo}, {hi}]")
-        c = _packing(self.spec)[1](self._dense(np.clip(s, lo, hi)))
+        c = self._dense(np.clip(s, lo, hi))
         n = self.spec.dim
         return c[:n], c[n:]
 
@@ -199,19 +178,17 @@ def accelerations(spec: GeometrySpec, coords, velocities) -> np.ndarray:
 
 
 def _affine_rhs(spec: GeometrySpec):
-    pack, unpack = _packing(spec)
     n = spec.dim
 
     def rhs(_s, y):
-        c = unpack(y)
-        q, v = c[:n], c[n:]
+        q, v = y[:n], y[n:]
         acc = -np.einsum("ijk,j,k->i", christoffel_table(spec, q), v, v)
-        return np.concatenate([pack(v), pack(acc)])
+        return np.concatenate([v, acc])
     return rhs
 
 
 def guard_events(spec: GeometrySpec, guard: float, pair, start,
-                 cap: float | None = None, unpack=None) -> list:
+                 cap: float | None = None) -> list:
     """Terminal events for the domain rule, v > 0 (|v| > 0 if complex) and den != 0.
 
     ``pair(param, y)`` maps a solver state to the chart pair (t, v). Real
@@ -220,7 +197,7 @@ def guard_events(spec: GeometrySpec, guard: float, pair, start,
     root finder can see (a |.| - guard shape would dip and come back without
     one). The complex sets have real codimension two; proximity in modulus
     is the best detectable surrogate there. With ``cap`` an escape event
-    stops the run where |value| or |slope| of ``unpack(y) = (value, slope)``
+    stops the run where |value| or |slope| of the state y = (value, slope)
     reaches it: explicit-form geodesics can reach infinity at finite x, e.g.
     where a reconstructed solution has a zero.
     """
@@ -245,7 +222,7 @@ def guard_events(spec: GeometrySpec, guard: float, pair, start,
     events = [positive, regular]
     if cap is not None:
         def escape(_p, y):
-            return cap - max(abs(c) for c in unpack(y))
+            return cap - max(abs(c) for c in y)
         events.append(escape)
     for ev in events:
         ev.terminal = True
@@ -264,19 +241,19 @@ def integrate_geodesic(spec: GeometrySpec, initial: GeodesicState, s_span,
     s0, s1 = float(s_span[0]), float(s_span[1])
     if not s1 > s0:
         raise ValueError("s_span must be increasing")
-    pack, unpack = _packing(spec)
     n = spec.dim
-    y0 = np.concatenate([pack(initial.coords), pack(initial.velocity)])
+    # the chart's numbers: a real start on the complex chart is complex too,
+    # or the solver would drop the imaginary part of every step
+    y0 = np.array([*initial.coords, *initial.velocity], dtype=spec.scalar)
     events = guard_events(spec, BOUNDARY_GUARD,
-                          lambda _s, y: chart_pair(spec, unpack(y)[:n]), (s0, y0))
+                          lambda _s, y: chart_pair(spec, y[:n]), (s0, y0))
     from scipy.integrate import solve_ivp  # imported here: importing geodesy loads no scipy
     sol = solve_ivp(_affine_rhs(spec), (s0, s1), y0, method="RK45",
                     rtol=tol, atol=tol * 1e-2, dense_output=True, events=events)
     if sol.status == -1:
         raise StepSizeUnderflowError(sol.message)
     termination = Termination.RANGE_END if sol.status == 0 else Termination.DOMAIN_BOUNDARY
-    c = unpack(sol.y)
-    return GeodesicTrajectory(spec, sol.t, c[:n].T, c[n:].T, termination, sol.sol)
+    return GeodesicTrajectory(spec, sol.t, sol.y[:n].T, sol.y[n:].T, termination, sol.sol)
 
 
 # --- explicit form ----------------------------------------------------------------
@@ -387,27 +364,19 @@ class ExplicitGeodesic:
         return self._values.d2(t)
 
     @classmethod
-    def from_function(cls, spec, fn, support, dfn=None, d2fn=None) -> "ExplicitGeodesic":
+    def from_function(cls, spec, fn, support, dfn, d2fn) -> "ExplicitGeodesic":
         """Sample an arbitrary curve (not necessarily a geodesic) densely.
 
-        Used for negative controls and hand-built inputs: with no derivative
-        callables given, slopes come from central differences, so nothing
+        Used for negative controls and hand-built inputs: ``fn``, ``dfn`` and
+        ``d2fn`` give the curve and its first two derivatives, and nothing
         assumes the curve satisfies any equation.
         """
         if spec.dim != 2 or spec.is_complex_chart:
             raise ValueError("from_function builds real-family curves only")
-        num = 129
-        ts = np.linspace(support[0], support[1], num)
-        step = (support[1] - support[0]) / (num - 1) * 1e-3
+        ts = np.linspace(support[0], support[1], 129)
         vals = np.array([fn(t) for t in ts], dtype=float)
-        if dfn is None:
-            d1 = np.array([(fn(t + step) - fn(t - step)) / (2 * step) for t in ts])
-        else:
-            d1 = np.array([dfn(t) for t in ts], dtype=float)
-        if d2fn is None:
-            d2 = np.array([(fn(t + step) - 2 * fn(t) + fn(t - step)) / step ** 2 for t in ts])
-        else:
-            d2 = np.array([d2fn(t) for t in ts], dtype=float)
+        d1 = np.array([dfn(t) for t in ts], dtype=float)
+        d2 = np.array([d2fn(t) for t in ts], dtype=float)
         curve = CurveDense(ts, [vals, d1, d2])
         return cls(spec, complex(support[0]).real, Termination.RANGE_END, curve)
 
@@ -461,7 +430,7 @@ def integrate_explicit(spec: GeometrySpec, x0, value0, slope0, support=None,
     Real families: ``support`` is an interval (a, b) containing x0; the two
     sides are integrated separately from (value0, slope0). Complex family:
     supply ``path`` with path.point(0) == z0; the equation is integrated in
-    the real path parameter as a doubled real system.
+    the real path parameter, the solver stepping the complex state (X, dX/dz).
 
     Termination is DOMAIN_BOUNDARY when a guard quantity crosses
     ``BOUNDARY_GUARD`` or when the value escapes past ``value_cap`` (explicit
@@ -495,7 +464,7 @@ def integrate_explicit(spec: GeometrySpec, x0, value0, slope0, support=None,
 
     y0 = [float(value0), float(slope0)]
     events = guard_events(spec, BOUNDARY_GUARD, lambda x, y: (x, y[0]), (x0, y0),
-                          value_cap, lambda y: y)
+                          value_cap)
     xs, (vals, slopes), hit_boundary = solve_from_inside(
         rhs, x0, y0, (a, b), events, tol, max_step, drop_event_sample=True)
     seconds, thirds = explicit_second_and_third(spec, xs, vals, slopes)
@@ -506,23 +475,20 @@ def integrate_explicit(spec: GeometrySpec, x0, value0, slope0, support=None,
 
 def _integrate_explicit_path(spec, value0, slope0, path, tol, cap, max_step):
     state = np.array([value0, slope0], dtype=complex)
-    events = guard_events(spec, BOUNDARY_GUARD, lambda s, y: (path.point(s), complex(y[0], y[1])),
-                          (0.0, _to_real(state)), cap, _to_complex)
+    events = guard_events(spec, BOUNDARY_GUARD, lambda s, y: (path.point(s), y[0]),
+                          (0.0, state), cap)
     pieces_v, pieces_w = [], []
     hit_boundary = False
     for s_lo, s_hi in path.segments():
         vel = path.velocity(0.5 * (s_lo + s_hi))
 
         def rhs(s, y):
-            X, W = _to_complex(y)
-            zeta = path.point(s)
-            dX = W * vel
-            dW = explicit_second(spec, zeta, X, W) * vel
-            return _to_real(np.array([dX, dW]))
+            X, W = y
+            return [W * vel, explicit_second(spec, path.point(s), X, W) * vel]
 
         step = max_step if max_step is not None else (s_hi - s_lo) / 32.0
-        ss, ys, stopped = _solve_run(rhs, (s_lo, s_hi), _to_real(state), events, tol, step)
-        Xs, Ws = _to_complex(ys)
+        ss, ys, stopped = _solve_run(rhs, (s_lo, s_hi), state, events, tol, step)
+        Xs, Ws = ys
         if len(ss) >= 2:
             sec, thr = explicit_second_and_third(spec, path.point(ss), Xs, Ws)
             pieces_v.append(CurveDense(ss, [Xs, Ws * vel, sec * vel ** 2, thr * vel ** 3]))
@@ -530,7 +496,7 @@ def _integrate_explicit_path(spec, value0, slope0, path, tol, cap, max_step):
         if stopped:
             hit_boundary = True
             break
-        state = np.array([Xs[-1], Ws[-1]])
+        state = ys[:, -1]
     if not pieces_v:
         raise StartOnSingularSetError("no progress from the starting point")
     values = CurveDense.joined(pieces_v)

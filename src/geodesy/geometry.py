@@ -146,6 +146,11 @@ class GeometrySpec:
     def is_complex_chart(self) -> bool:
         return self.facts.complex_chart
 
+    @cached_property
+    def scalar(self) -> type:
+        """The type of the chart coordinates: complex on the complex chart, else float."""
+        return complex if self.is_complex_chart else float
+
     @property
     def coord_names(self) -> tuple[str, ...]:
         return self.facts.coord_names
@@ -191,8 +196,7 @@ def chart_pair(spec: GeometrySpec, coords):
     if spec.dim == 4:
         x, phi, y, psi = (float(c) for c in coords)
         return complex(x, y), complex(phi, psi)
-    cast = complex if spec.is_complex_chart else float
-    return cast(coords[0]), cast(coords[1])
+    return spec.scalar(coords[0]), spec.scalar(coords[1])
 
 
 def chart_points(spec: GeometrySpec, points):
@@ -201,7 +205,7 @@ def chart_points(spec: GeometrySpec, points):
     if spec.dim == 4:
         p = p.astype(float)
         return p[..., 0] + 1j * p[..., 2], p[..., 1] + 1j * p[..., 3]
-    p = p.astype(complex if spec.is_complex_chart else float)
+    p = p.astype(spec.scalar)
     return p[..., 0], p[..., 1]
 
 
@@ -518,4 +522,4 @@ def sample_domain_points(spec: GeometrySpec, rng: np.random.Generator,
             continue
         if (not isinstance(v, complex) or abs(v) > 0.3) and abs(den) > SAMPLE_MARGIN:
             pts.append(point)
-    return np.array(pts, dtype=np.complex128 if spec.is_complex_chart else np.float64)
+    return np.array(pts, dtype=spec.scalar)

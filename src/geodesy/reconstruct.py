@@ -25,7 +25,10 @@ SolutionBasis.jets, serves every solution and every check of the basis: it
 gives u, u' and u'' of both solutions from one values call and one Theta
 read. The solutions are weights over it (u_top is (1, 0), u_bot is (0, 1)
 and A u_top + B u_bot is (A, B)), and the Wronskian and the product
-top*bot read the same arrays.
+top*bot read the same arrays. A one-point query (jets, values, a Theta read)
+is the length-1 case of an array query and returns its entry, so it equals
+the same point of a batch bit for bit: numpy may round a scalar operation
+unlike the same operation in an array loop.
 """
 
 from __future__ import annotations
@@ -139,7 +142,9 @@ class ThetaPair:
         branch; there the conjugate form Theta = -V den / (W - q) (exact
         identity via (W+q)(W-q) = -s den^2) is used instead.
         """
-        t = _params(t)
+        if np.ndim(t) == 0:
+            return tuple(part[0] for part in self._theta(np.array([t], dtype=float)))
+        t = np.asarray(t, dtype=float)
         v, w, sec, h, hp = self._data(t)
         s = self.spec.facts.sign
         den, radicand = _den_and_radicand(s, h, v, w)
@@ -229,6 +234,7 @@ def _weigh(weights, top, bot):
     return a * top + b * bot
 
 
+@dataclass
 class BasisJets:
     """u, u' and u'' of both solutions at the same parameters.
 
@@ -238,11 +244,21 @@ class BasisJets:
     bot') as ThetaPair._theta returns it.
     """
 
-    def __init__(self, values, theta):
+    theta: tuple
+    top: tuple
+    bot: tuple
+
+    @classmethod
+    def from_read(cls, values, theta) -> "BasisJets":
+        """The jets from one ``values`` call and one Theta read."""
         (top, bot), (th_top, dth_top, th_bot, dth_bot) = values, theta
-        self.theta = theta
-        self.top = (top, th_top * top, (dth_top + th_top * th_top) * top)
-        self.bot = (bot, th_bot * bot, (dth_bot + th_bot * th_bot) * bot)
+        return cls(theta, (top, th_top * top, (dth_top + th_top * th_top) * top),
+                   (bot, th_bot * bot, (dth_bot + th_bot * th_bot) * bot))
+
+    def __getitem__(self, i) -> "BasisJets":
+        """The jets at entry ``i`` of an array query, as computed there."""
+        return BasisJets(*(tuple(part[i] for part in parts)
+                           for parts in (self.theta, self.top, self.bot)))
 
     def combination(self, a, b) -> tuple:
         """(u, u', u'') of a u_top + b u_bot."""
@@ -356,12 +372,16 @@ class SolutionBasis:
 
     def values(self, t):
         """(u_top, u_bot) at t (a number or an array)."""
+        if np.ndim(t) == 0:
+            return tuple(u[0] for u in self.values(np.array([t], dtype=float)))
         out = tuple(np.exp(e) for e in self.exponents(t))
         return tuple(u.real for u in out) if self.theta.is_real_output else out
 
     def jets(self, t) -> BasisJets:
         """u, u' and u'' of both solutions at t (a number or an array)."""
-        return BasisJets(self.values(t), self.theta._theta(t))
+        if np.ndim(t) == 0:
+            return self.jets(np.array([t], dtype=float))[0]
+        return BasisJets.from_read(self.values(t), self.theta._theta(t))
 
     def wronskian(self, t):
         return self.jets(t).wronskian
@@ -510,32 +530,26 @@ def integrate_riccati(h: Expression, theta0, x0: float, support,
                       tol: float = 1e-12) -> CurveDense:
     """Direct RK integration of Theta' = -Theta^2 - h as a dense function.
 
-    Works for real h/theta0 and for complex-mode h along the real axis.
+    Works for real h/theta0 and for complex-mode h along the real axis. The
+    solver steps Theta in its own numbers: complex for a complex-mode h, also
+    from a real theta0.
     """
     a, b = float(support[0]), float(support[1])
-    is_complex = h.mode == "complex" or isinstance(theta0, complex)
-
-    def pack(th):
-        return [th.real, th.imag] if is_complex else [th]
-
-    def unpack(y):
-        return complex(y[0], y[1]) if is_complex else y[0]
+    y0 = np.array([theta0])
+    if h.mode == "complex":
+        y0 = y0.astype(complex)
 
     def rhs(x, y):
-        th = unpack(y)
-        point = complex(x) if is_complex else x
-        return pack(-th * th - eval_jet2(h, point).value)
+        return -y * y - eval_jet2(h, x).value
 
     def escape(x, y):
-        return RICCATI_CAP - abs(unpack(y))
+        return RICCATI_CAP - abs(y[0])
     escape.terminal = True
     escape.direction = -1
 
-    xs, ys, _ = solve_from_inside(
-        rhs, x0, pack(complex(theta0) if is_complex else float(theta0)), (a, b),
-        [escape], tol, abs(b - a) / 64.0, drop_event_sample=False)
-    ths = ys[0] + 1j * ys[1] if is_complex else ys[0]
-    hj = eval_jet2(h, xs.astype(complex) if is_complex else xs)
+    xs, (ths,), _ = solve_from_inside(rhs, x0, y0, (a, b), [escape], tol,
+                                      abs(b - a) / 64.0, drop_event_sample=False)
+    hj = eval_jet2(h, xs)
     d1 = -ths * ths - hj.value
     d2 = -2 * ths * d1 - hj.d1
     return CurveDense(xs, [ths, d1, d2])
@@ -579,9 +593,8 @@ def riccati_solution_is_geodesic(spec: GeometrySpec, theta,
         factor = -1j
     else:
         raise ValueError("sign_mode must be 'real' or 'imaginary'")
-    points = grid.astype(complex) if sign_mode == "imaginary" else grid
     devs = np.abs(factor * theta.d2(grid) - explicit_second(
-        spec, points, factor * theta.value(grid), factor * theta.d1(grid)))
+        spec, grid, factor * theta.value(grid), factor * theta.d1(grid)))
     return RiccatiGeodesicReport(float(ric), float(np.max(devs)), tol, factor)
 
 

@@ -122,17 +122,6 @@ def test_scenario_file_round_trip(tmp_path, capsys):
     assert json.loads(out)["scenario"]["family"] == "ads-"
 
 
-def test_env_var_overrides_default_tolerance(capsys, monkeypatch):
-    monkeypatch.setenv("GEODESY_DEFAULT_TOL", "1e3")
-    code, out, _ = run_cli(capsys, "solve", "--family", "hyperbolic",
-                           "--h", "-1", "--set", "curve=constant:2",
-                           "--set", "span=0,1")
-    # with a huge default tolerance the non-geodesic passes the residual bar
-    report = json.loads(out)
-    assert all(c["pass"] for c in report["checks"]
-               if c["name"].startswith("ode_residual"))
-
-
 def test_verify_all_empty_pool_exit_two(tmp_path, capsys):
     pool = tmp_path / "empty.cfg"
     pool.write_text("# nothing here\n")

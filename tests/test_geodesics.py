@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import REAL_POOL, make_spec
-from geodesy import geodesics as gd
+from geodesy import geodesics as gd, reconstruct as rc
 from geodesy.errors import (
     OutOfDomainError,
     OutsideSupportError,
@@ -267,6 +267,34 @@ def test_complex_blowup_terminates_cleanly():
     g = integrate_explicit(spec, 0, 3.0 + 0j, 0.1, path=path, tol=1e-11)
     assert g.termination is Termination.DOMAIN_BOUNDARY
     assert g.support[1] < 0.5
+
+
+def test_a_real_start_on_the_complex_chart_stays_complex():
+    """The solver steps the chart's own numbers: real floats passed on the
+    complex chart start the same complex run as the equal complex values. h
+    is not real on the real axis, so a dropped imaginary part would show."""
+    spec = make_spec("complex", "z^2+i")
+    real = integrate_geodesic(spec, GeodesicState((0.1, 1.2), (1.0, 0.3)), (0, 0.5))
+    cplx = integrate_geodesic(spec, GeodesicState((0.1 + 0j, 1.2 + 0j), (1.0 + 0j, 0.3 + 0j)),
+                              (0, 0.5))
+    assert real.coords.dtype == complex and np.any(real.coords.imag != 0)
+    assert np.array_equal(real.s, cplx.s)
+    assert np.array_equal(real.coords, cplx.coords)
+    assert np.array_equal(real.velocities, cplx.velocities)
+    path = ComplexPath.polyline([0, 0.5 + 0.2j])
+    ga = integrate_explicit(spec, 0, 1.5, 0.2, path=path)
+    gb = integrate_explicit(spec, 0, 1.5 + 0j, 0.2 + 0j, path=path)
+    ss = np.linspace(*ga.support, 9)
+    assert np.iscomplexobj(ga.value(ss)) and np.any(ga.value(ss).imag != 0)
+    assert np.array_equal(ga.nodes, gb.nodes)
+    assert np.array_equal(ga.value(ss), gb.value(ss))
+    h = spec.h
+    ta = rc.integrate_riccati(h, 0.5, 0.0, (0.0, 0.8))
+    tb = rc.integrate_riccati(h, 0.5 + 0j, 0.0, (0.0, 0.8))
+    xs = np.linspace(0.0, 0.8, 9)
+    assert np.iscomplexobj(ta.value(xs)) and np.any(ta.value(xs).imag != 0)
+    assert np.array_equal(ta.nodes, tb.nodes)
+    assert np.array_equal(ta.value(xs), tb.value(xs))
 
 
 def test_complex_trajectory_to_explicit(airy_geodesic):

@@ -415,14 +415,26 @@ def test_basis_values_do_not_depend_on_query_order(query_bases):
                 assert np.all(np.abs(other - forward) <= 1e-14 * scale)
             assert np.all(np.abs(one_by_one - forward[shuffled]) <= 1e-14 * scale[shuffled])
             assert np.ndim(u.value(ts[3])) == 0 and np.ndim(u.d2(ts[3])) == 0
-        # the one evaluation behind every solution: one point is its array
-        # entry (up to the rounding of complex products, which numpy's array
-        # loops may round differently from its scalars)
-        jets, at_one = basis.jets(ts), basis.jets(ts[3])
-        for array, point in zip((*jets.top, *jets.bot, *jets.theta, jets.wronskian),
-                                (*at_one.top, *at_one.bot, *at_one.theta, at_one.wronskian)):
-            assert np.ndim(point) == 0
-            assert abs(point - array[3]) <= 1e-14 * abs(array[3])
+
+
+def test_one_point_jets_equal_their_batch_entry(query_bases):
+    """The one evaluation behind every solution: one point is the length-1
+    case of an array query, so it equals the batch's entry bit for bit, also
+    where numpy's array loops round complex products unlike its scalars (the
+    vertex-path basis)."""
+    for basis in query_bases:
+        ts = np.linspace(*basis.support, 41)
+        jets = basis.jets(ts)
+        for i, t in enumerate(ts):
+            at_one, entry = basis.jets(t), jets[i]
+            for point, batch in zip((*at_one.top, *at_one.bot, *at_one.theta),
+                                    (*entry.top, *entry.bot, *entry.theta)):
+                assert np.ndim(point) == 0 and point == batch
+            # from the entries' scalars, which numpy may round unlike the array
+            wronskian = jets.wronskian[i]
+            assert abs(at_one.wronskian - wronskian) <= 1e-14 * abs(wronskian)
+            assert basis.values(t) == (entry.top[0], entry.bot[0])
+            assert basis.theta._theta(t) == entry.theta
 
 
 def test_array_theta_matches_scalar_where_the_conjugate_form_is_taken(airy_basis):
