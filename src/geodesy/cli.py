@@ -42,6 +42,8 @@ from .geometry import (
 )
 
 DEFAULT_TOL = 1e-6
+GRID_POINTS = 101  # the check and table grid of a geodesic or solve case
+RICCATI_ROWS = 51  # the table of a riccati case; its checks have their own grid
 
 
 def _check(name: str, points: int, max_dev: float, tol: float) -> dict:
@@ -169,7 +171,7 @@ def run_geodesic(scenario: Scenario) -> tuple[list[dict], list[dict]]:
     state = GeodesicState(_chart_numbers(scenario.require("coords"), spec),
                           _chart_numbers(scenario.require("velocity"), spec))
     traj = integrate_geodesic(spec, state, span, tol=rk_tol)
-    grid = np.linspace(traj.s[0], traj.s[-1], scenario.intval("samples", 101))
+    grid = np.linspace(traj.s[0], traj.s[-1], GRID_POINTS)
     speeds = traj.speed_squared(grid)
     drift = float(np.max(np.abs(speeds - speeds[0])) / max(abs(speeds[0]), 1e-30))
     checks = [_check("speed_conservation", len(grid), drift, tol)]
@@ -225,7 +227,7 @@ def run_solve(scenario: Scenario) -> tuple[list[dict], list[dict]]:
     g, is_geodesic = _solve_geodesic(scenario, spec)
     basis = rc.reconstruct_basis(spec, g, check_residual=False)
     lo, hi = g.support
-    grid = np.linspace(lo, hi, scenario.intval("samples", 101))
+    grid = np.linspace(lo, hi, GRID_POINTS)
     z = g.point(grid)
     # one evaluation of the basis serves every solution, check and column;
     # h comes from its own jet, so u'' + h u still tests the pair formula
@@ -287,7 +289,7 @@ def run_riccati(scenario: Scenario) -> tuple[list[dict], list[dict]]:
         _check("induced_geodesic_residual", 257, report.geodesic_sup, tol),
     ]
     lo, hi = theta.support
-    xs = np.linspace(lo, hi, scenario.intval("samples", 51))
+    xs = np.linspace(lo, hi, RICCATI_ROWS)
     rows = [{"x": x, "theta_re": np.real(v), "theta_im": np.imag(v)}
             for x, v in zip(xs, theta.value(xs))]
     return checks, rows

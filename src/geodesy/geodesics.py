@@ -1,16 +1,16 @@
 """Geodesic integration: affine-parameter form and explicit form.
 
 Affine form solves d2q^i/ds2 + Gamma^i_jk dq^j/ds dq^k/ds = 0 with an
-embedded adaptive Runge-Kutta 5(4) scheme (dense output, event location).
+embedded adaptive Runge-Kutta 5(4) scheme, stepped one step at a time.
 The solver steps each chart in its own numbers: complex on the complex chart,
 where it measures a component's error by its modulus.
 
 Explicit form eliminates the affine parameter: a geodesic becomes a function
 of the first chart coordinate (Phi(x), Psi(x)) or, for the complex family, a
 function X tracked along a user-supplied path in the z-plane with a real
-parameter. Integrations stop cleanly at the open-domain boundaries (guarded
-event functions) or, for conversions, at turning points of the first
-coordinate.
+parameter. Every run ends on its last node inside one stop margin (the
+open-domain boundaries and an escape cap); conversions stop at turning points
+of the first coordinate.
 """
 
 from __future__ import annotations
@@ -130,6 +130,66 @@ class ComplexPath:
         return list(zip(self.breaks, self.breaks[1:]))
 
 
+# --- solver runs: one stop margin, one stepping loop -------------------------
+
+def _stop_margin(spec: GeometrySpec, pair, start, cap: float | None):
+    """``margin(param, y)``, positive inside the chart, for a run from ``start``.
+
+    ``pair(param, y)`` maps a solver state to the chart pair (t, v). The
+    margin is the smallest of v and of den signed by its side at ``start =
+    (param, y)``, each less ``BOUNDARY_GUARD``, and, with a ``cap``, of
+    cap - max|y|: explicit-form geodesics reach infinity at finite x where a
+    reconstructed solution vanishes. A signed den turns negative where the run
+    crosses the singular set (|den| could dip and come back). The complex sets
+    have real codimension two, so complex charts take |v| and |den| instead.
+    den comes first in each min: it is NaN wherever v or h is, and min keeps
+    a NaN that comes first.
+    """
+    t0, v0 = pair(*start)
+    if isinstance(v0, complex):
+        def inside(t, v):
+            return min(abs(den_at(spec, t, v)), abs(v))
+    else:
+        side = np.sign(den_at(spec, t0, v0)) or 1.0
+
+        def inside(t, v):
+            return min(side * den_at(spec, t, v), v)
+
+    def margin(p, y):
+        m = inside(*pair(p, y)) - BOUNDARY_GUARD
+        return m if cap is None else min(m, cap - max(abs(c) for c in y))
+    return margin
+
+
+def _run(rhs, span, y0, margin, tol: float, max_step: float, dense: bool):
+    """Step RK45 over ``span``, ending on the last node whose margin is positive.
+
+    A NaN margin stops the run too; a start whose margin is not positive
+    raises StartOnSingularSetError. Returns the nodes, the states (one row per
+    component), the interpolants of the steps between the nodes (with
+    ``dense``, else None) and that of the step that left (None if the run
+    reached the end of the span).
+    """
+    from scipy.integrate import RK45  # imported here: importing geodesy loads no scipy
+    if not margin(span[0], y0) > 0:
+        raise StartOnSingularSetError(f"the stop margin at the start {span[0]} is not > 0")
+    solver = RK45(rhs, float(span[0]), y0, float(span[1]), max_step=max_step,
+                  rtol=tol, atol=tol * 1e-2)
+    ts, ys = [solver.t], [solver.y]
+    steps = [] if dense else None
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise StepSizeUnderflowError(message)
+        if not margin(solver.t, solver.y) > 0:
+            return np.array(ts), np.vstack(ys).T, steps, solver.dense_output()
+        ts.append(solver.t)
+        ys.append(solver.y)
+        if dense:
+            steps.append(solver.dense_output())
+    return np.array(ts), np.vstack(ys).T, steps, None
+
+
 # --- affine-parameter geodesics --------------------------------------------------
 
 @dataclass(frozen=True)
@@ -187,55 +247,12 @@ def _affine_rhs(spec: GeometrySpec):
     return rhs
 
 
-def guard_events(spec: GeometrySpec, guard: float, pair, start,
-                 cap: float | None = None) -> list:
-    """Terminal events for the domain rule, v > 0 (|v| > 0 if complex) and den != 0.
-
-    ``pair(param, y)`` maps a solver state to the chart pair (t, v). Real
-    charts track den signed relative to its side at ``start = (param, y)``,
-    so that a transversal crossing of the singular set is a sign change the
-    root finder can see (a |.| - guard shape would dip and come back without
-    one). The complex sets have real codimension two; proximity in modulus
-    is the best detectable surrogate there. With ``cap`` an escape event
-    stops the run where |value| or |slope| of the state y = (value, slope)
-    reaches it: explicit-form geodesics can reach infinity at finite x, e.g.
-    where a reconstructed solution has a zero.
-    """
-    def den(p, y):
-        t, v = pair(p, y)
-        return den_at(spec, t, v)
-
-    if isinstance(pair(*start)[1], complex):
-        def positive(p, y):
-            return abs(pair(p, y)[1]) - guard
-
-        def regular(p, y):
-            return abs(den(p, y)) - guard
-    else:
-        side = np.sign(den(*start)) or 1.0
-
-        def positive(p, y):
-            return pair(p, y)[1] - guard
-
-        def regular(p, y):
-            return side * den(p, y) - guard
-    events = [positive, regular]
-    if cap is not None:
-        def escape(_p, y):
-            return cap - max(abs(c) for c in y)
-        events.append(escape)
-    for ev in events:
-        ev.terminal = True
-        ev.direction = -1
-    return events
-
-
 def integrate_geodesic(spec: GeometrySpec, initial: GeodesicState, s_span,
                        tol: float = 1e-10) -> GeodesicTrajectory:
     """Integrate the affine geodesic equation over ``s_span``.
 
-    Stops early with DOMAIN_BOUNDARY when a guarded domain quantity crosses
-    ``BOUNDARY_GUARD`` (event located by the solver's root finder).
+    Stops early with DOMAIN_BOUNDARY when a node leaves the stop margin; the
+    run then ends where the margin vanishes on the step that left.
     """
     require_in_domain(spec, initial.coords)
     s0, s1 = float(s_span[0]), float(s_span[1])
@@ -245,15 +262,20 @@ def integrate_geodesic(spec: GeometrySpec, initial: GeodesicState, s_span,
     # the chart's numbers: a real start on the complex chart is complex too,
     # or the solver would drop the imaginary part of every step
     y0 = np.array([*initial.coords, *initial.velocity], dtype=spec.scalar)
-    events = guard_events(spec, BOUNDARY_GUARD,
-                          lambda _s, y: chart_pair(spec, y[:n]), (s0, y0))
-    from scipy.integrate import solve_ivp  # imported here: importing geodesy loads no scipy
-    sol = solve_ivp(_affine_rhs(spec), (s0, s1), y0, method="RK45",
-                    rtol=tol, atol=tol * 1e-2, dense_output=True, events=events)
-    if sol.status == -1:
-        raise StepSizeUnderflowError(sol.message)
-    termination = Termination.RANGE_END if sol.status == 0 else Termination.DOMAIN_BOUNDARY
-    return GeodesicTrajectory(spec, sol.t, sol.y[:n].T, sol.y[n:].T, termination, sol.sol)
+    margin = _stop_margin(spec, lambda _s, y: chart_pair(spec, y[:n]), (s0, y0), None)
+    ss, ys, steps, exit_step = _run(_affine_rhs(spec), (s0, s1), y0, margin, tol, np.inf,
+                                    True)
+    if exit_step is not None:
+        from scipy.optimize import brentq
+        eps = 4 * np.finfo(float).eps
+        end = brentq(lambda s: margin(s, exit_step(s)), exit_step.t_old, exit_step.t,
+                     xtol=eps, rtol=eps)
+        ss, ys = np.append(ss, end), np.vstack([*ys.T, exit_step(end)]).T
+        steps.append(exit_step)
+    from scipy.integrate import OdeSolution
+    termination = Termination.RANGE_END if exit_step is None else Termination.DOMAIN_BOUNDARY
+    return GeodesicTrajectory(spec, ss, ys[:n].T, ys[n:].T, termination,
+                              OdeSolution(ss, steps))
 
 
 # --- explicit form ----------------------------------------------------------------
@@ -381,44 +403,31 @@ class ExplicitGeodesic:
         return cls(spec, complex(support[0]).real, Termination.RANGE_END, curve)
 
 
-def _solve_run(rhs, span, y0, events, tol: float, max_step: float,
-               drop_event_sample: bool = True):
-    """One RK45 run: (nodes, states, whether an event stopped it)."""
-    from scipy.integrate import solve_ivp  # imported here: importing geodesy loads no scipy
-    sol = solve_ivp(rhs, span, y0, method="RK45", rtol=tol, atol=tol * 1e-2,
-                    events=events, max_step=max_step)
-    if sol.status == -1:
-        raise StepSizeUnderflowError(sol.message)
-    if sol.status == 1 and drop_event_sample and len(sol.t) > 2:
-        return sol.t[:-1], sol.y[:, :-1], True
-    return sol.t, sol.y, sol.status == 1
-
-
-def solve_from_inside(rhs, x0, y0, support, events, tol: float, max_step: float,
-                      drop_event_sample: bool):
+def solve_from_inside(rhs, x0, y0, support, margin, tol: float, max_step: float):
     """Solve from ``x0`` toward each end of ``support`` and merge the two runs.
 
     Returns the increasing nodes, the states (one row per component) and
-    whether an event stopped a run. With ``drop_event_sample`` such a run
-    ends on its last full-accuracy node: the located event sample comes from
-    the solver's one-order-lower dense interpolant.
+    whether the margin stopped a run. Each run ends on its last node inside
+    (see :func:`_run`); a merge left with a single node raises
+    StartOnSingularSetError.
     """
     runs = []
-    hit_event = False
+    stopped = False
     for target in support:
         if target == x0:
             continue
-        ts, ys, stopped = _solve_run(rhs, (x0, target), y0, events, tol, max_step,
-                                     drop_event_sample)
-        hit_event = hit_event or stopped
+        ts, ys, _, exit_step = _run(rhs, (x0, target), y0, margin, tol, max_step, False)
+        stopped = stopped or exit_step is not None
         order = np.argsort(ts)
         runs.append((ts[order], ys[:, order]))
-    if len(runs) == 2:
+    (xs, ys), *rest = runs
+    if rest:
         # both runs start at x0: keep it once
-        (xa, ya), (xb, yb) = runs
-        return (np.concatenate([xa[:-1], xb]), np.concatenate([ya[:, :-1], yb], axis=1),
-                hit_event)
-    return runs[0][0], runs[0][1], hit_event
+        (xb, yb), = rest
+        xs, ys = np.concatenate([xs[:-1], xb]), np.concatenate([ys[:, :-1], yb], axis=1)
+    if len(xs) < 2:
+        raise StartOnSingularSetError("no progress from the starting point")
+    return xs, ys, stopped
 
 
 def integrate_explicit(spec: GeometrySpec, x0, value0, slope0, support=None,
@@ -432,10 +441,10 @@ def integrate_explicit(spec: GeometrySpec, x0, value0, slope0, support=None,
     supply ``path`` with path.point(0) == z0; the equation is integrated in
     the real path parameter, the solver stepping the complex state (X, dX/dz).
 
-    Termination is DOMAIN_BOUNDARY when a guard quantity crosses
-    ``BOUNDARY_GUARD`` or when the value escapes past ``value_cap`` (explicit
-    geodesics blow up at finite x exactly where a reconstructed solution
-    vanishes, so the cap is a chart boundary, not an error).
+    A run that leaves the stop margin (near v = 0 or the singular set, or
+    where |value| or |slope| reaches ``value_cap``) ends on its last node
+    inside, with DOMAIN_BOUNDARY. Explicit geodesics blow up at finite x exactly
+    where a reconstructed solution vanishes, so the cap is a chart boundary.
     """
     if spec.dim != 2:
         raise ValueError("use the complex chart for the 4D family")
@@ -463,10 +472,9 @@ def integrate_explicit(spec: GeometrySpec, x0, value0, slope0, support=None,
         return [y[1], explicit_second(spec, x, y[0], y[1])]
 
     y0 = [float(value0), float(slope0)]
-    events = guard_events(spec, BOUNDARY_GUARD, lambda x, y: (x, y[0]), (x0, y0),
-                          value_cap)
-    xs, (vals, slopes), hit_boundary = solve_from_inside(
-        rhs, x0, y0, (a, b), events, tol, max_step, drop_event_sample=True)
+    margin = _stop_margin(spec, lambda x, y: (x, y[0]), (x0, y0), value_cap)
+    xs, (vals, slopes), hit_boundary = solve_from_inside(rhs, x0, y0, (a, b), margin,
+                                                         tol, max_step)
     seconds, thirds = explicit_second_and_third(spec, xs, vals, slopes)
     curve = CurveDense(xs, [vals, slopes, seconds, thirds])
     termination = Termination.DOMAIN_BOUNDARY if hit_boundary else Termination.RANGE_END
@@ -475,8 +483,7 @@ def integrate_explicit(spec: GeometrySpec, x0, value0, slope0, support=None,
 
 def _integrate_explicit_path(spec, value0, slope0, path, tol, cap, max_step):
     state = np.array([value0, slope0], dtype=complex)
-    events = guard_events(spec, BOUNDARY_GUARD, lambda s, y: (path.point(s), y[0]),
-                          (0.0, state), cap)
+    margin = _stop_margin(spec, lambda s, y: (path.point(s), y[0]), (0.0, state), cap)
     pieces_v, pieces_w = [], []
     hit_boundary = False
     for s_lo, s_hi in path.segments():
@@ -487,13 +494,13 @@ def _integrate_explicit_path(spec, value0, slope0, path, tol, cap, max_step):
             return [W * vel, explicit_second(spec, path.point(s), X, W) * vel]
 
         step = max_step if max_step is not None else (s_hi - s_lo) / 32.0
-        ss, ys, stopped = _solve_run(rhs, (s_lo, s_hi), state, events, tol, step)
+        ss, ys, _, exit_step = _run(rhs, (s_lo, s_hi), state, margin, tol, step, False)
         Xs, Ws = ys
         if len(ss) >= 2:
             sec, thr = explicit_second_and_third(spec, path.point(ss), Xs, Ws)
             pieces_v.append(CurveDense(ss, [Xs, Ws * vel, sec * vel ** 2, thr * vel ** 3]))
             pieces_w.append(CurveDense(ss, [Ws, sec * vel, thr * vel ** 2]))
-        if stopped:
+        if exit_step is not None:
             hit_boundary = True
             break
         state = ys[:, -1]

@@ -161,10 +161,6 @@ class MetricValue:
     components: np.ndarray  # (..., n, n), symmetric; (n, n) at one point
     signature: str
 
-    @property
-    def det(self) -> complex:
-        return np.linalg.det(self.components)
-
 
 @dataclass(frozen=True)
 class ChristoffelValue:

@@ -16,7 +16,6 @@ import numpy as np
 from .expr import Expression, eval_jet2
 from .geodesics import (
     GeodesicState,
-    GeodesicTrajectory,
     accelerations,
     explicit_from_trajectory,
     integrate_geodesic,
@@ -147,8 +146,6 @@ class KNSplitReport:
     coord_sup: float  # 4D coordinates vs Re/Im of the complex trajectory
     basis_sup: float  # reconstructed u's, 4D split data vs complex chart
     tolerance: float
-    trajectory_4d: GeodesicTrajectory
-    trajectory_complex: GeodesicTrajectory
 
     @property
     def passes(self) -> bool:
@@ -180,7 +177,7 @@ def kn_geodesic_split(spec: GeometrySpec, initial: GeodesicState, s_span,
     coord_sup = float(np.max(np.abs([q4[0] - qc[0].real, q4[2] - qc[0].imag,
                                      q4[1] - qc[1].real, q4[3] - qc[1].imag])))
     basis_sup = _split_basis_gap(spec, spec_c, traj4, trajc)
-    return KNSplitReport(grid, coord_sup, basis_sup, tol, traj4, trajc)
+    return KNSplitReport(grid, coord_sup, basis_sup, tol)
 
 
 def _split_basis_gap(spec, spec_c, traj4, trajc) -> float:

@@ -86,7 +86,6 @@ class _TrackedSqrt:
         for i in range(base_index - 1, -1, -1):
             w[i] = self._step(w[i + 1], p[i], ts[i], scale)
         self.values = w
-        self.base_value = w[base_index]
 
     def _step(self, prev: complex, cand: complex, t: float, scale: float) -> complex:
         d_plus, d_minus = abs(cand - prev), abs(-cand - prev)
@@ -114,7 +113,6 @@ class ThetaPair:
     geodesic: ExplicitGeodesic
     coincident: bool
     flagged_params: list[float]
-    base_sqrt: complex
     _sqrt: _TrackedSqrt = field(repr=False, default=None)
 
     @property
@@ -214,7 +212,7 @@ def theta_from_geodesic(spec: GeometrySpec, g: ExplicitGeodesic) -> ThetaPair:
     coincident = bool(np.max(np.abs(rads)) < DEGENERACY_TOL)
     base_index = int(np.argmin(np.abs(grid - g.base_param)))
     tracked = _TrackedSqrt(grid, rads, base_index)
-    return ThetaPair(spec, g, coincident, tracked.flagged, tracked.base_value, tracked)
+    return ThetaPair(spec, g, coincident, tracked.flagged, tracked)
 
 
 # --- solution bases -------------------------------------------------------------
@@ -532,7 +530,9 @@ def integrate_riccati(h: Expression, theta0, x0: float, support,
 
     Works for real h/theta0 and for complex-mode h along the real axis. The
     solver steps Theta in its own numbers: complex for a complex-mode h, also
-    from a real theta0.
+    from a real theta0. Theta blows up where the solution u = exp(int Theta)
+    vanishes; each run ends on its last node with |Theta| below
+    ``RICCATI_CAP``.
     """
     a, b = float(support[0]), float(support[1])
     y0 = np.array([theta0])
@@ -542,13 +542,9 @@ def integrate_riccati(h: Expression, theta0, x0: float, support,
     def rhs(x, y):
         return -y * y - eval_jet2(h, x).value
 
-    def escape(x, y):
-        return RICCATI_CAP - abs(y[0])
-    escape.terminal = True
-    escape.direction = -1
-
-    xs, (ths,), _ = solve_from_inside(rhs, x0, y0, (a, b), [escape], tol,
-                                      abs(b - a) / 64.0, drop_event_sample=False)
+    xs, (ths,), _ = solve_from_inside(rhs, x0, y0, (a, b),
+                                      lambda _x, y: RICCATI_CAP - abs(y[0]), tol,
+                                      abs(b - a) / 64.0)
     hj = eval_jet2(h, xs)
     d1 = -ths * ths - hj.value
     d2 = -2 * ths * d1 - hj.d1

@@ -85,12 +85,11 @@ def test_csv_export(tmp_path, capsys):
     path = tmp_path / "table.csv"
     code, *_ = run_cli(capsys, "solve", "--family", "ads", "--h", "1",
                        "--set", "value0=1", "--set", "span=0,3",
-                       "--set", "samples=11", "--tol", "1e-8",
-                       "--csv", str(path))
+                       "--tol", "1e-8", "--csv", str(path))
     assert code == 0
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 11
+    assert len(rows) == 101
     assert {"param", "u_re", "u_im", "ode_residual"} <= set(rows[0])
 
 
@@ -166,7 +165,7 @@ def test_complex_solve_against_brute_force_rk(capsys):
     code, out, _ = run_cli(capsys, "solve", "--family", "complex",
                            "--h", "z", "--set", "path=0,0;1,1",
                            "--set", "value0=0,1.5", "--set", "slope0=0.2,0",
-                           "--set", "samples=21", "--csv", "/dev/null")
+                           "--csv", "/dev/null")
     assert code == 0
     report = json.loads(out)
     assert report["pass"] is True
@@ -277,7 +276,7 @@ def test_solve_deviations_equal_separate_queries_of_each_solution(values):
     spec = cli._spec_from(scenario)
     g, _ = cli._solve_geodesic(scenario, spec)
     basis = rc.reconstruct_basis(spec, g, check_residual=False)
-    grid = np.linspace(*g.support, scenario.intval("samples", 101))
+    grid = np.linspace(*g.support, cli.GRID_POINTS)
     u = basis.combination(scenario.floatval("A", 1.0), scenario.floatval("B", 0.0))
 
     def sup_residual(f):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import REAL_POOL, make_spec
-from geodesy import geodesics as gd, reconstruct as rc
+from geodesy import geodesics as gd, geometry, reconstruct as rc
 from geodesy.errors import (
     OutOfDomainError,
     OutsideSupportError,
@@ -307,6 +307,109 @@ def test_complex_trajectory_to_explicit(airy_geodesic):
     # the path reproduces the trajectory's z-projection
     q0, _ = traj.state_at(0.4)
     assert abs(g.path.point(0.5) - q0[0]) < 1e-12
+
+
+# --- the stop rule: one margin, one stepping loop --------------------------------
+
+def _scipy_events(spec, pair, start, cap):
+    """The terminal events that once stopped every run: v, den signed by its
+    side at the start (moduli on complex charts) and the escape cap."""
+    guard = gd.BOUNDARY_GUARD
+
+    def den(p, y):
+        return geometry.den_at(spec, *pair(p, y))
+
+    if isinstance(pair(*start)[1], complex):
+        events = [lambda p, y: abs(pair(p, y)[1]) - guard,
+                  lambda p, y: abs(den(p, y)) - guard]
+    else:
+        side = np.sign(den(*start)) or 1.0
+        events = [lambda p, y: pair(p, y)[1] - guard,
+                  lambda p, y: side * den(p, y) - guard]
+    events.append(lambda _p, y: cap - max(abs(c) for c in y))
+    for ev in events:
+        ev.terminal = True
+        ev.direction = -1
+    return events
+
+
+@pytest.mark.parametrize("case", ["hyperbolic escape", "polyline segment"])
+def test_runs_equal_scipy_event_runs_without_their_event_sample(case):
+    """Stepping RK45 and stopping on the first node outside the margin keeps
+    the nodes and states of solve_ivp with the three terminal events, bit for
+    bit, less the event sample that solve_ivp locates on its interpolant."""
+    from scipy.integrate import solve_ivp
+    tol, cap = 1e-12, 1e6
+    if case == "hyperbolic escape":
+        spec = make_spec("hyperbolic", "4")
+        y0 = [1.0, 0.5]
+        spans, max_step = [(0.0, -2 * np.pi), (0.0, 2 * np.pi)], 4 * np.pi / 64
+
+        def pair(x, y):
+            return x, y[0]
+
+        def rhs(x, y):
+            return [y[1], gd.explicit_second(spec, x, y[0], y[1])]
+    else:
+        spec = make_spec("complex", "exp(z)")
+        path = ComplexPath.polyline([0, 1])
+        vel = path.velocity(0.5)
+        y0 = np.array([3.0, 0.1], dtype=complex)
+        spans, max_step = [(0.0, 1.0)], 1 / 32
+
+        def pair(s, y):
+            return path.point(s), y[0]
+
+        def rhs(s, y):
+            return [y[1] * vel, gd.explicit_second(spec, path.point(s), y[0], y[1]) * vel]
+    margin = gd._stop_margin(spec, pair, (0.0, y0), cap)
+    events = _scipy_events(spec, pair, (0.0, y0), cap)
+    stopped = []
+    for span in spans:
+        ref = solve_ivp(rhs, span, y0, method="RK45", rtol=tol, atol=tol * 1e-2,
+                        events=events, max_step=max_step)
+        ts, ys, steps, exit_step = gd._run(rhs, span, y0, margin, tol, max_step, False)
+        keep = len(ref.t) - (ref.status == 1)
+        assert np.array_equal(ts, ref.t[:keep])
+        assert np.array_equal(ys, ref.y[:, :keep])
+        assert steps is None and (exit_step is not None) == (ref.status == 1)
+        stopped.append(ref.status == 1)
+    assert any(stopped)
+
+
+def _band_start(run):
+    """Start a run where |den| = 5e-7: outside the domain's own 1e-9 band,
+    inside the 1e-6 stop margin."""
+    value = np.sqrt(1.0 + 5e-7)
+    if run == "integrate_geodesic":
+        integrate_geodesic(make_spec("hyperbolic", "1"),
+                           GeodesicState((0.0, value), (1.0, 0.3)), (0, 1))
+    elif run == "integrate_explicit":
+        integrate_explicit(make_spec("hyperbolic", "1"), 0.0, value, 0.3, support=(-1, 1))
+    else:
+        integrate_explicit(make_spec("complex", "1"), 0, value, 0.3,
+                           path=ComplexPath.polyline([0, 1]))
+
+
+@pytest.mark.parametrize("run", ["integrate_geodesic", "integrate_explicit", "path"])
+def test_a_start_inside_the_stop_margin_raises(run):
+    with pytest.raises(StartOnSingularSetError):
+        _band_start(run)
+
+
+def test_a_nan_margin_stops_a_run():
+    """u' = -1 from u = 1 with the margin sqrt(u), NaN once u < 0. RK45 never
+    accepts a NaN state (its error estimate rejects the step), so a margin read
+    off the state is where a NaN shows. solve_ivp never made a NaN event
+    active: an event run went on to the end of the span."""
+    def margin(_t, y):
+        with np.errstate(invalid="ignore"):
+            return np.sqrt(y[0])
+
+    ts, ys, _, exit_step = gd._run(lambda _t, y: [-1.0], (0.0, 3.0), [1.0], margin,
+                                   1e-10, 0.1, False)
+    assert exit_step is not None and exit_step(exit_step.t)[0] < 0
+    assert np.all(ys[0] > 0) and ts[-1] < 1.0 < exit_step.t
 
 
 # --- the explicit-form right-hand side, written out per family ------------------

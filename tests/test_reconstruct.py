@@ -192,7 +192,7 @@ def test_inversion_wrong_sign_product_rejected():
         def _theta(self, t):
             return 1.0, 0.0, 2.0, 0.0  # (top, top', bot, bot')
 
-    bad = _BadPair(spec, g, False, [], 1.0, None)
+    bad = _BadPair(spec, g, False, [], None)
     with pytest.raises(NegativeRadicandError):
         rc.invert_to_geodesic(bad)
 
@@ -231,6 +231,24 @@ def test_riccati_solutions_are_ads_geodesics():
         report = rc.riccati_solution_is_geodesic(spec, theta, "real", tol=1e-6)
         assert report.passes
         assert report.geodesic_sup < 1e-6
+
+
+def test_a_riccati_run_through_a_blow_up_ends_on_a_solver_node():
+    """Theta = -tan(x) blows up at pi/2. The run ends on its last node below
+    RICCATI_CAP: the nodes are those of solve_ivp with a terminal cap event,
+    less the event sample located on the interpolant."""
+    theta = rc.integrate_riccati(expr.parse("1"), 0.0, 0.0, (0.0, 2.0), tol=1e-12)
+
+    def escape(_x, y):
+        return rc.RICCATI_CAP - abs(y[0])
+    escape.terminal = True
+    escape.direction = -1
+    ref = solve_ivp(lambda _x, y: -y * y - 1.0, (0.0, 2.0), np.array([0.0]), method="RK45",
+                    rtol=1e-12, atol=1e-14, events=[escape], max_step=2.0 / 64)
+    assert ref.status == 1
+    assert np.array_equal(theta.nodes, ref.t[:-1])
+    assert theta.support[1] < np.pi / 2
+    assert np.max(np.abs(theta.value(theta.nodes))) < rc.RICCATI_CAP
 
 
 def test_riccati_negative_branch():
