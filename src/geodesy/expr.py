@@ -18,6 +18,19 @@ in ``DERIVATIVES``. One domain rule holds for all three: a log, sqrt or
 power guard that fails, an overflow, division by zero or invalid operation
 in the library, or a value, d1 or d2 that is not finite at any point raises
 DomainError.
+
+``Jet2`` is a plain slotted class, not a dataclass: the geodesic solver
+builds several per right-hand side call, and a frozen dataclass pays for
+``object.__setattr__`` on each field. It has no ``__eq__``, so a jet equals
+no number.
+
+Each expression memoises its last scalar evaluation: the solver's stop
+margin and the last stage of a Runge-Kutta step evaluate h where the call
+before did. A hit needs a point of the same type that compares equal. A
+failed evaluation is never stored, so a point that raised raises again;
+arrays bypass the memo. Zeros are never stored: -0.0 == 0.0 and
+-1-0j == -1+0j, yet h = x, or a branch cut of log or sqrt, tells them
+apart, so a complex point needs both parts nonzero.
 """
 
 from __future__ import annotations
@@ -103,6 +116,8 @@ class Expression:
     root: Node
     mode: str  # "real" | "complex"
     source: str
+    #: (point, Jet2) of the last scalar :func:`eval_jet2` memoised; not a field
+    _last = None
 
     @cached_property
     def compiled(self):
@@ -323,13 +338,18 @@ def _any(flags) -> bool:
         return bool(np.any(flags))
 
 
-@dataclass(frozen=True)
 class Jet2:
     """Value with exact first and second derivative (forward-mode, order 2)."""
 
-    value: Scalar
-    d1: Scalar
-    d2: Scalar
+    __slots__ = ("value", "d1", "d2")
+
+    def __init__(self, value: Scalar, d1: Scalar, d2: Scalar):
+        self.value = value
+        self.d1 = d1
+        self.d2 = d2
+
+    def __repr__(self) -> str:
+        return f"Jet2(value={self.value!r}, d1={self.d1!r}, d2={self.d2!r})"
 
     @staticmethod
     def variable(at: Scalar) -> "Jet2":
@@ -500,7 +520,13 @@ def eval_jet2(expr: Expression, at: Scalar) -> Jet2:
         # constant subtrees stay scalars; every part gets the shape of ``at``
         return Jet2(*(part if np.shape(part) == at.shape else np.full(at.shape, part)
                       for part in (jet.value, jet.d1, jet.d2)))
-    is_complex = expr.mode == "complex" or isinstance(at, complex)
-    if is_complex:
-        return _evaluate(expr, complex(at), cmath, True)
-    return _evaluate(expr, at, math, False)
+    last = expr._last
+    if last is not None and type(last[0]) is type(at) and last[0] == at:
+        return last[1]
+    if expr.mode == "complex" or isinstance(at, complex):
+        jet = _evaluate(expr, complex(at), cmath, True)
+    else:
+        jet = _evaluate(expr, at, math, False)
+    if (at.real and at.imag) if isinstance(at, complex) else at:  # no zeros: see above
+        expr.__dict__["_last"] = (at, jet)  # one assignment: readers see a whole entry
+    return jet

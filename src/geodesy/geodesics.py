@@ -336,6 +336,22 @@ def explicit_second_and_third(spec: GeometrySpec, point, value, slope):
     return second, f.d1
 
 
+def _real_explicit_rhs(spec: GeometrySpec):
+    """The solver's right-hand side (v', :func:`explicit_second`) of a real
+    family over Python floats. A float division by zero raises where float64
+    gives inf or nan, so such a call is redone over float64."""
+    s, h = spec.facts.sign, spec.h
+
+    def rhs(x, y):
+        v, w = y.tolist()
+        hj = eval_jet2(h, float(x))
+        try:
+            return [w, _explicit_rhs(s, hj.value, hj.d1, v, w)]
+        except ZeroDivisionError:
+            return [w, _explicit_rhs(s, hj.value, hj.d1, np.float64(v), np.float64(w))]
+    return rhs
+
+
 @dataclass
 class ExplicitGeodesic:
     """A geodesic as a function of the first chart coordinate.
@@ -441,6 +457,11 @@ def integrate_explicit(spec: GeometrySpec, x0, value0, slope0, support=None,
     supply ``path`` with path.point(0) == z0; the equation is integrated in
     the real path parameter, the solver stepping the complex state (X, dX/dz).
 
+    A real run's right-hand side computes :func:`explicit_second` over Python
+    floats, which give the same bits as numpy's float64 scalars at a lower
+    cost. A complex run keeps numpy's complex128 numbers: Python's complex
+    multiply and divide round differently from numpy's.
+
     A run that leaves the stop margin (near v = 0 or the singular set, or
     where |value| or |slope| reaches ``value_cap``) ends on its last node
     inside, with DOMAIN_BOUNDARY. Explicit geodesics blow up at finite x exactly
@@ -468,13 +489,11 @@ def integrate_explicit(spec: GeometrySpec, x0, value0, slope0, support=None,
     if max_step is None:
         max_step = (b - a) / 64.0
 
-    def rhs(x, y):
-        return [y[1], explicit_second(spec, x, y[0], y[1])]
-
     y0 = [float(value0), float(slope0)]
-    margin = _stop_margin(spec, lambda x, y: (x, y[0]), (x0, y0), value_cap)
-    xs, (vals, slopes), hit_boundary = solve_from_inside(rhs, x0, y0, (a, b), margin,
-                                                         tol, max_step)
+    # a float x, as in the rhs, so that den_at reuses the h of the step's last stage
+    margin = _stop_margin(spec, lambda x, y: (float(x), y[0]), (x0, y0), value_cap)
+    xs, (vals, slopes), hit_boundary = solve_from_inside(_real_explicit_rhs(spec), x0, y0,
+                                                         (a, b), margin, tol, max_step)
     seconds, thirds = explicit_second_and_third(spec, xs, vals, slopes)
     curve = CurveDense(xs, [vals, slopes, seconds, thirds])
     termination = Termination.DOMAIN_BOUNDARY if hit_boundary else Termination.RANGE_END

@@ -71,31 +71,54 @@ INVERSION_REFINE = 3
 RICCATI_CAP = 1e6
 
 
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| entry by entry, with the bits of numpy's scalar ``abs``; numpy's
+    complex ``abs`` loop over an array may round differently."""
+    return np.hypot(z.real, z.imag)
+
+
+def _continued_signs(keep: np.ndarray, switch: np.ndarray) -> np.ndarray:
+    """The signs (+-1) of the roots after successive steps, from each step's
+    distances to the previous root with the sign kept and switched: the
+    parity of the switches since the last tie (which restarts at +1, as the
+    nearer-root rule takes +p there) or NaN (which restarts at -1)."""
+    parity = np.where(np.cumsum(switch < keep) % 2 == 1, -1, 1)
+    restart = ~((keep < switch) | (switch < keep))
+    anchors = np.where(keep == switch, 1, -1) * parity
+    last = np.maximum.accumulate(np.where(restart, np.arange(len(keep)), -1))
+    return np.where(last >= 0, anchors[last], 1) * parity
+
+
 class _TrackedSqrt:
-    """Square root continued from the base node along a sampled radicand."""
+    """Square root continued from the base node along a sampled radicand.
+
+    From the principal root at the base node outward both ways, each node
+    takes the root +-p_i nearer its neighbour's. Whether it keeps the
+    neighbour's sign depends only on |p_i - p_j| against |p_i + p_j|, so the
+    signs are a cumulative product, computed in array operations. ``flagged``
+    lists the nodes where the two nearly tie or the root grazes zero: the
+    forward ones in increasing order, then the backward ones outward.
+    """
 
     def __init__(self, ts: np.ndarray, radicands: np.ndarray, base_index: int):
         self.ts = ts
         p = np.sqrt(np.asarray(radicands, dtype=complex))
-        w = np.empty(len(ts), dtype=complex)
-        w[base_index] = p[base_index]  # principal branch: Re >= 0
-        self.flagged: list[float] = []
         scale = float(np.max(np.abs(p))) or 1.0
-        for i in range(base_index + 1, len(ts)):
-            w[i] = self._step(w[i - 1], p[i], ts[i], scale)
-        for i in range(base_index - 1, -1, -1):
-            w[i] = self._step(w[i + 1], p[i], ts[i], scale)
-        self.values = w
-
-    def _step(self, prev: complex, cand: complex, t: float, scale: float) -> complex:
-        d_plus, d_minus = abs(cand - prev), abs(-cand - prev)
-        ambiguous = abs(d_plus - d_minus) < 0.1 * max(abs(cand), 1e-300)
-        grazing = abs(cand) < 1e-4 * scale
-        if ambiguous or grazing:
-            # the radicand hit (or grazed) zero; continuation goes on, but the
-            # node is flagged since the pair derivative degenerates there
-            self.flagged.append(float(t))
-        return cand if d_plus <= d_minus else -cand
+        # step k joins nodes k and k+1: the distances to +p_j and to -p_j
+        keep, switch = _modulus(p[1:] - p[:-1]), _modulus(p[1:] + p[:-1])
+        up = np.arange(base_index + 1, len(p))  # node i reached by step i - 1
+        down = np.arange(base_index - 1, -1, -1)  # node i reached by step i
+        signs = np.ones(len(p), dtype=int)
+        for nodes, steps in ((up, up - 1), (down, down)):
+            signs[nodes] = _continued_signs(keep[steps], switch[steps])
+        self.values = np.where(signs > 0, p, -p)
+        # the radicand hit (or grazed) zero; continuation goes on, but the
+        # node is flagged since the pair derivative degenerates there
+        nodes, steps = np.concatenate([up, down]), np.concatenate([up - 1, down])
+        size = _modulus(p[nodes])
+        flags = ((np.abs(keep[steps] - switch[steps]) < 0.1 * np.maximum(size, 1e-300))
+                 | (size < 1e-4 * scale))
+        self.flagged: list[float] = ts[nodes[flags]].tolist()
 
     def __call__(self, t, radicand):
         """The root of ``radicand`` nearest the tracked root at the node at or after ``t``."""

@@ -423,3 +423,20 @@ def test_curvature_command_loads_no_scipy():
                           env=env, timeout=120, check=True)
     result = json.loads(done.stdout.splitlines()[-1])
     assert result == {"codes": [0, 0, 0, 0, 0], "scipy": []}
+
+
+def test_python_dash_m_runs_the_cli():
+    """``python -m geodesy`` starts the same command line as the console script."""
+    import os
+    import subprocess
+    import sys
+
+    import geodesy
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geodesy.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "geodesy", "curvature", "--family", "hyperbolic",
+         "--h", "sin(x)+3"], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["command"] == "curvature" and report["pass"]

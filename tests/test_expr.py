@@ -305,3 +305,54 @@ def test_jet_division_by_an_array_with_a_zero_raises():
         one = expr.Jet2(num.value[i], num.d1[i], num.d2[i]) / expr.Jet2(
             den.value[i], den.d1[i], den.d2[i])
         assert (got.value[i], got.d1[i], got.d2[i]) == (one.value, one.d1, one.d2)
+
+
+def _bits(x) -> str:
+    return float(x).hex() if not isinstance(x, complex) else f"{x.real.hex()},{x.imag.hex()}"
+
+
+def test_memo_keeps_the_sign_of_zero():
+    """h = x at -0.0 right after 0.0 (and the reverse) gives its own zero."""
+    e = parse("x")
+    assert _bits(eval_jet2(e, 0.0).value) == "0x0.0p+0"
+    assert _bits(eval_jet2(e, -0.0).value) == "-0x0.0p+0"
+    assert _bits(eval_jet2(e, 0.0).value) == "0x0.0p+0"
+    z = parse("sqrt(z)", "complex")
+    # -1+0j == -1-0j, on either side of the branch cut of sqrt
+    assert eval_jet2(z, complex(-1.0, 0.0)).value == 1j
+    assert eval_jet2(z, complex(-1.0, -0.0)).value == -1j
+
+
+def test_memo_does_not_share_between_equal_points_of_other_types():
+    """1, 1.0, numpy's 1.0 and 1+0j compare equal, yet each gets a jet of its own type."""
+    e = parse("x")
+    for at, kind in [(1, int), (1.0, float), (np.float64(1.0), np.float64),
+                     (1 + 0j, complex), (1.0, float), (1, int)]:
+        assert type(eval_jet2(e, at).value) is kind
+
+
+def test_memo_belongs_to_one_expression():
+    """A repeated point returns the memoised jet; an equal expression parsed
+    from the same source keeps its own."""
+    a, b = parse("sin(x)+3"), parse("sin(x)+3")
+    assert a == b
+    first = eval_jet2(a, 0.5)
+    assert eval_jet2(a, 0.5) is first
+    other = eval_jet2(b, 0.5)
+    assert other is not first
+    assert (other.value, other.d1, other.d2) == (first.value, first.d1, first.d2)
+
+
+def test_memo_never_stores_a_raise_and_arrays_bypass_it():
+    e = parse("log(x)")
+    good = eval_jet2(e, 2.0)
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            eval_jet2(e, -1.0)
+    assert eval_jet2(e, 2.0) is good
+    arr = eval_jet2(e, np.array([2.0]))
+    assert arr is not good and arr.value.shape == (1,)
+    assert eval_jet2(e, 2.0) is good
+    with pytest.raises(DomainError):
+        eval_jet2(e, np.array([2.0, -1.0]))
+    assert eval_jet2(e, 2.0) is good

@@ -4,10 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import REAL_POOL, make_spec
 from geodesy import geodesics as gd, geometry, reconstruct as rc
 from geodesy.errors import (
+    DomainError,
     OutOfDomainError,
     OutsideSupportError,
     StartOnSingularSetError,
@@ -518,3 +521,33 @@ def test_array_zero_slope_shortcut_on_the_singular_set():
               for x, v, w in zip([0.1, 0.2, 0.3], values, slopes)]
     assert got.tolist() == scalar
     assert got[0] == 0.0
+
+
+_RHS_FLOATS = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 1e-160]))
+
+
+@pytest.mark.parametrize("family", ["hyperbolic", "ads+", "ads-"])
+@pytest.mark.parametrize("source", [*REAL_POOL, "x", "log(x)", "1/x^2"])
+@settings(max_examples=60, deadline=None)
+@given(x=_RHS_FLOATS, v=_RHS_FLOATS, w=_RHS_FLOATS)
+# zero divisions: by v, and by den = h - s v^2 (h = x at 4, h = -1 in ads)
+@example(x=1.0, v=0.0, w=1.0)
+@example(x=4.0, v=2.0, w=1.0)
+@example(x=2.0, v=1.0, w=1.0)
+def test_float_rhs_equals_explicit_second_bit_for_bit(family, source, x, v, w):
+    """The real runs' right-hand side, over Python floats, equals
+    explicit_second over numpy float64 scalars bit for bit, inf and nan of a
+    zero division included; a point where h raises raises in both."""
+    spec = make_spec(family, source)
+    rhs = gd._real_explicit_rhs(spec)
+    x64, v64, w64 = np.float64(x), np.float64(v), np.float64(w)
+    with np.errstate(all="ignore"):
+        try:
+            expected = gd.explicit_second(spec, x64, v64, w64)
+        except DomainError:
+            with pytest.raises(DomainError):
+                rhs(x64, np.array([v, w]))
+            return
+        slope, second = rhs(x64, np.array([v, w]))
+    assert np.float64(slope).tobytes() == w64.tobytes()
+    assert np.float64(second).tobytes() == np.float64(expected).tobytes()

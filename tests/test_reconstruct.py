@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from conftest import make_spec
@@ -533,3 +535,48 @@ def test_a_basis_and_its_solutions_are_freed_without_the_cycle_collector(harmoni
         assert ref() is None
     finally:
         gc.enable()
+
+
+def _tracked_sqrt_by_loop(ts, radicands, base_index):
+    """Reference continuation, one node at a time: each node takes the root
+    nearer its neighbour's toward the base (+p on a tie) and is flagged where
+    the two distances nearly tie or the root grazes zero."""
+    p = np.sqrt(np.asarray(radicands, dtype=complex))
+    w = np.empty(len(ts), dtype=complex)
+    w[base_index] = p[base_index]
+    flagged = []
+    scale = float(np.max(np.abs(p))) or 1.0
+
+    def step(prev, cand, t):
+        d_plus, d_minus = abs(cand - prev), abs(-cand - prev)
+        if (abs(d_plus - d_minus) < 0.1 * max(abs(cand), 1e-300)
+                or abs(cand) < 1e-4 * scale):
+            flagged.append(float(t))
+        return cand if d_plus <= d_minus else -cand
+
+    for i in range(base_index + 1, len(ts)):
+        w[i] = step(w[i - 1], p[i], ts[i])
+    for i in range(base_index - 1, -1, -1):
+        w[i] = step(w[i + 1], p[i], ts[i])
+    return w, flagged
+
+
+_PARTS = st.one_of(st.floats(-4.0, 4.0), st.floats(-1e-6, 1e-6),
+                   st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+_RADICAND = st.builds(complex, _PARTS, _PARTS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_RADICAND, st.booleans(), st.integers(1, 3)), min_size=1,
+                max_size=30),
+       st.data())
+def test_tracked_sqrt_equals_the_node_by_node_loop(runs, data):
+    """Values bit for bit and flags in the loop's order, over radicands with
+    exact zeros, repeated values (runs) and sign flips, from any base node."""
+    radicands = np.array([-r if flip else r for r, flip, count in runs for _ in range(count)])
+    ts = np.cumsum(np.full(len(radicands), 0.25)) - 1.0
+    base_index = data.draw(st.integers(0, len(radicands) - 1))
+    tracked = rc._TrackedSqrt(ts, radicands, base_index)
+    values, flagged = _tracked_sqrt_by_loop(ts, radicands, base_index)
+    assert tracked.values.tobytes() == values.tobytes()
+    assert tracked.flagged == flagged
