@@ -37,7 +37,6 @@ from .geometry import (
     Family,
     GeometrySpec,
     curvature_at,
-    metric_at,
     sample_domain_points,
 )
 
@@ -119,8 +118,8 @@ class Scenario:
         return dict(sorted(self.values.items()))
 
 
-def _spec_from(scenario: Scenario, default_family: str | None = None) -> GeometrySpec:
-    family = Family.from_name(scenario.get("family", default_family) or "")
+def _spec_from(scenario: Scenario) -> GeometrySpec:
+    family = Family.from_name(scenario.get("family") or "")
     h = parse(scenario.require("h"), FAMILY_FACTS[family].h_mode)
     return GeometrySpec(family, h)
 
@@ -150,7 +149,7 @@ def run_curvature(scenario: Scenario) -> tuple[list[dict], list[dict]]:
                  "eta": eta, "ricci_scalar": scalar}
                 for p, eta, scalar in zip(pts, rep.einstein_eta, rep.ricci_scalar)]
         return checks, rows
-    g = metric_at(spec, pts).components
+    g = rep.metric
     # relative to the metric's size: where max|g| <= 1 this is the plain gap
     ricci_devs = (np.max(np.abs(rep.ricci - expected * g), axis=(-2, -1))
                   / np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1))))

@@ -76,11 +76,11 @@ class CurveDense:
     def support(self) -> tuple[float, float]:
         return float(self.nodes[0]), float(self.nodes[-1])
 
-    def _check(self, t, slack: float = 1e-12):
+    def _check(self, t):
         t = np.asarray(t, dtype=float)
         lo, hi = self.support
-        span = hi - lo
-        if np.any(t < lo - slack * (1 + span)) or np.any(t > hi + slack * (1 + span)):
+        slack = 1e-12 * (1 + (hi - lo))
+        if np.any(t < lo - slack) or np.any(t > hi + slack):
             raise OutsideSupportError(f"query {t} outside support [{lo}, {hi}]")
         return np.clip(t, lo, hi)
 
@@ -95,7 +95,7 @@ class CurveDense:
 
     __call__ = value
 
-    def refined(self, per_interval: int = 4) -> np.ndarray:
+    def refined(self, per_interval: int) -> np.ndarray:
         """Node grid with ``per_interval`` extra points inside every interval.
 
         The points of [a, b] are a + k (b - a)/(per_interval + 1), which is

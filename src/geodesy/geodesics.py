@@ -3,7 +3,9 @@
 Affine form solves d2q^i/ds2 + Gamma^i_jk dq^j/ds dq^k/ds = 0 with an
 embedded adaptive Runge-Kutta 5(4) scheme, stepped one step at a time.
 The solver steps each chart in its own numbers: complex on the complex chart,
-where it measures a component's error by its modulus.
+where it measures a component's error by its modulus. Its dense output is one
+Hermite curve per coordinate through the coordinate, the velocity and the
+closed-form Christoffel acceleration at every node.
 
 Explicit form eliminates the affine parameter: a geodesic becomes a function
 of the first chart coordinate (Phi(x), Psi(x)) or, for the complex family, a
@@ -22,16 +24,17 @@ import numpy as np
 
 from .dense import CurveDense
 from .errors import (
-    OutsideSupportError,
     StartOnSingularSetError,
     StepSizeUnderflowError,
     TurningPointAtStartError,
 )
 from .expr import Jet2, eval_jet2
 from .geometry import (
+    Family,
     GeometrySpec,
     add_signed,
     chart_pair,
+    chart_points,
     christoffel_table,
     den_at,
     domain_violation,
@@ -161,13 +164,12 @@ def _stop_margin(spec: GeometrySpec, pair, start, cap: float | None):
     return margin
 
 
-def _run(rhs, span, y0, margin, tol: float, max_step: float, dense: bool):
+def _run(rhs, span, y0, margin, tol: float, max_step: float):
     """Step RK45 over ``span``, ending on the last node whose margin is positive.
 
     A NaN margin stops the run too; a start whose margin is not positive
     raises StartOnSingularSetError. Returns the nodes, the states (one row per
-    component), the interpolants of the steps between the nodes (with
-    ``dense``, else None) and that of the step that left (None if the run
+    component) and the interpolant of the step that left (None if the run
     reached the end of the span).
     """
     from scipy.integrate import RK45  # imported here: importing geodesy loads no scipy
@@ -176,18 +178,15 @@ def _run(rhs, span, y0, margin, tol: float, max_step: float, dense: bool):
     solver = RK45(rhs, float(span[0]), y0, float(span[1]), max_step=max_step,
                   rtol=tol, atol=tol * 1e-2)
     ts, ys = [solver.t], [solver.y]
-    steps = [] if dense else None
     while solver.status == "running":
         message = solver.step()
         if solver.status == "failed":
             raise StepSizeUnderflowError(message)
         if not margin(solver.t, solver.y) > 0:
-            return np.array(ts), np.vstack(ys).T, steps, solver.dense_output()
+            return np.array(ts), np.vstack(ys).T, solver.dense_output()
         ts.append(solver.t)
         ys.append(solver.y)
-        if dense:
-            steps.append(solver.dense_output())
-    return np.array(ts), np.vstack(ys).T, steps, None
+    return np.array(ts), np.vstack(ys).T, None
 
 
 # --- affine-parameter geodesics --------------------------------------------------
@@ -196,32 +195,35 @@ def _run(rhs, span, y0, margin, tol: float, max_step: float, dense: bool):
 class GeodesicState:
     coords: tuple
     velocity: tuple
-    s: float = 0.0
 
 
 @dataclass
 class GeodesicTrajectory:
-    """Samples of an affine-parameter geodesic plus its dense interpolant."""
+    """Nodes of an affine-parameter geodesic and its dense output.
+
+    The dense output is one :class:`CurveDense` per coordinate through the
+    coordinate, its velocity and its acceleration at every node.
+    """
 
     spec: GeometrySpec
     s: np.ndarray
     coords: np.ndarray  # (m, dim), complex for the complex chart
     velocities: np.ndarray
+    accelerations: np.ndarray  # the solver's right-hand side at the nodes
     termination: Termination
-    _dense: object = field(repr=False, default=None)
+    _curves: list = field(init=False, repr=False)
 
-    @property
-    def s_span(self) -> tuple[float, float]:
-        return float(self.s[0]), float(self.s[-1])
+    def __post_init__(self):
+        self._curves = [CurveDense(self.s, data) for data in
+                        zip(self.coords.T, self.velocities.T, self.accelerations.T)]
 
     def state_at(self, s) -> tuple[np.ndarray, np.ndarray]:
-        """(coords, velocity) at ``s``; for an array ``s`` each has one column per entry."""
-        lo, hi = self.s_span
-        if np.any(np.asarray(s) < lo - 1e-12) or np.any(np.asarray(s) > hi + 1e-12):
-            raise OutsideSupportError(f"s={s} outside [{lo}, {hi}]")
-        c = self._dense(np.clip(s, lo, hi))
+        """(coords, velocity) at ``s``; for an array ``s`` each has one column
+        per entry. Outside the run's span raises OutsideSupportError."""
+        # one row per entry (scipy's layout): a batch's speed_squared rounds as one point's
+        c = np.stack([getattr(f, d)(s) for d in ("value", "d1") for f in self._curves], axis=-1)
         n = self.spec.dim
-        return c[:n], c[n:]
+        return c[..., :n].T, c[..., n:].T
 
     def speed_squared(self, s):
         """g(velocity, velocity) at ``s`` (a number or an array); conserved
@@ -263,19 +265,17 @@ def integrate_geodesic(spec: GeometrySpec, initial: GeodesicState, s_span,
     # or the solver would drop the imaginary part of every step
     y0 = np.array([*initial.coords, *initial.velocity], dtype=spec.scalar)
     margin = _stop_margin(spec, lambda _s, y: chart_pair(spec, y[:n]), (s0, y0), None)
-    ss, ys, steps, exit_step = _run(_affine_rhs(spec), (s0, s1), y0, margin, tol, np.inf,
-                                    True)
+    ss, ys, exit_step = _run(_affine_rhs(spec), (s0, s1), y0, margin, tol, np.inf)
     if exit_step is not None:
         from scipy.optimize import brentq
         eps = 4 * np.finfo(float).eps
         end = brentq(lambda s: margin(s, exit_step(s)), exit_step.t_old, exit_step.t,
                      xtol=eps, rtol=eps)
         ss, ys = np.append(ss, end), np.vstack([*ys.T, exit_step(end)]).T
-        steps.append(exit_step)
-    from scipy.integrate import OdeSolution
     termination = Termination.RANGE_END if exit_step is None else Termination.DOMAIN_BOUNDARY
-    return GeodesicTrajectory(spec, ss, ys[:n].T, ys[n:].T, termination,
-                              OdeSolution(ss, steps))
+    coords, velocities = ys[:n].T, ys[n:].T
+    return GeodesicTrajectory(spec, ss, coords, velocities,
+                              accelerations(spec, coords, velocities), termination)
 
 
 # --- explicit form ----------------------------------------------------------------
@@ -432,7 +432,7 @@ def solve_from_inside(rhs, x0, y0, support, margin, tol: float, max_step: float)
     for target in support:
         if target == x0:
             continue
-        ts, ys, _, exit_step = _run(rhs, (x0, target), y0, margin, tol, max_step, False)
+        ts, ys, exit_step = _run(rhs, (x0, target), y0, margin, tol, max_step)
         stopped = stopped or exit_step is not None
         order = np.argsort(ts)
         runs.append((ts[order], ys[:, order]))
@@ -513,7 +513,7 @@ def _integrate_explicit_path(spec, value0, slope0, path, tol, cap, max_step):
             return [W * vel, explicit_second(spec, path.point(s), X, W) * vel]
 
         step = max_step if max_step is not None else (s_hi - s_lo) / 32.0
-        ss, ys, _, exit_step = _run(rhs, (s_lo, s_hi), state, margin, tol, step, False)
+        ss, ys, exit_step = _run(rhs, (s_lo, s_hi), state, margin, tol, step)
         Xs, Ws = ys
         if len(ss) >= 2:
             sec, thr = explicit_second_and_third(spec, path.point(ss), Xs, Ws)
@@ -551,27 +551,24 @@ def _before_turning(vt: np.ndarray) -> int:
 def explicit_from_trajectory(traj: GeodesicTrajectory) -> ExplicitGeodesic:
     """Re-express an affine trajectory as a function of its first coordinate.
 
-    Requires a nonzero first-coordinate velocity at s=0; samples past the
-    first sign change (turning point) are dropped and the result is marked
-    TURNING_POINT.
+    A real chart gives Phi(x) (resp. Psi(x)). A complex-chart or 4D trajectory
+    gives X along its own z-projection, with z = x + iy and X = Phi + i Psi
+    (:func:`chart_points`): the path is the Hermite curve of z over the affine
+    parameter mapped to [0, 1]. Both read the stored node coordinates,
+    velocities and accelerations. Requires a nonzero first-coordinate
+    velocity at s=0; samples past the first turning point are dropped and the
+    result is marked TURNING_POINT.
     """
     spec = traj.spec
-    if spec.dim != 2:
-        raise ValueError("use the complex chart for the 4D family")
-    if spec.is_complex_chart:
-        acc = accelerations(spec, traj.coords, traj.velocities)
-        return path_explicit_from_samples(
-            spec, traj.s, traj.coords[:, 0], traj.coords[:, 1],
-            traj.velocities[:, 0], traj.velocities[:, 1], acc[:, 0], acc[:, 1],
-            lambda s: traj.state_at(s)[0][0], lambda s: traj.state_at(s)[1][0],
-            traj.termination)
+    if spec.dim == 4 or spec.is_complex_chart:
+        return _explicit_along_path(traj)
     vx = traj.velocities[:, 0]
     keep = _before_turning(vx)
     truncated = keep < len(vx)
     xs = traj.coords[:keep, 0]
     vals = traj.coords[:keep, 1]
     slopes = traj.velocities[:keep, 1] / vx[:keep]
-    acc = accelerations(spec, traj.coords[:keep], traj.velocities[:keep])
+    acc = traj.accelerations[:keep]
     # u**3 by scalar pow: numpy's array power rounds differently in the last bit
     cubes = np.array([u ** 3 for u in vx[:keep].tolist()])
     seconds = (acc[:, 1] * vx[:keep] - traj.velocities[:keep, 1] * acc[:, 0]) / cubes
@@ -582,28 +579,22 @@ def explicit_from_trajectory(traj: GeodesicTrajectory) -> ExplicitGeodesic:
     return ExplicitGeodesic(spec, float(traj.coords[0, 0]), termination, curve)
 
 
-def path_explicit_from_samples(spec, s_nodes, zs, Xs, vzs, vXs, azs, aXs,
-                               point_at, velocity_at, termination) -> ExplicitGeodesic:
-    """Explicit-form geodesic along its own z-projection from sampled data.
-
-    ``point_at``/``velocity_at`` give the smooth z-curve as functions of the
-    raw parameter; samples past the first |dz/ds| ~ 0 are dropped. Shared by
-    the complex-chart and 4D-chart trajectory conversions.
-    """
-    keep = _before_turning(np.asarray(vzs, dtype=complex))
-    truncated = keep < len(vzs)
-    s_lo, s_hi = s_nodes[0], s_nodes[keep - 1]
-    span = s_hi - s_lo
-    path = ComplexPath(lambda s: point_at(s_lo + s * span),
-                       lambda s: velocity_at(s_lo + s * span) * span)
-    ss = (np.asarray(s_nodes[:keep]) - s_lo) / span
-    Ws = vXs[:keep] / vzs[:keep]
-    dWs = (aXs[:keep] * vzs[:keep] - vXs[:keep] * azs[:keep]) / vzs[:keep] ** 2 * span
-    values = CurveDense(ss, [Xs[:keep], vXs[:keep] * span, aXs[:keep] * span ** 2])
-    zslopes = CurveDense(ss, [Ws, dWs])
-    if truncated:
-        termination = Termination.TURNING_POINT
-    return ExplicitGeodesic(spec, zs[0], termination, values, path, zslopes)
+def _explicit_along_path(traj: GeodesicTrajectory) -> ExplicitGeodesic:
+    spec = traj.spec
+    (zs, Xs), (vzs, vXs), (azs, aXs) = (
+        chart_points(spec, a) for a in (traj.coords, traj.velocities, traj.accelerations))
+    keep = _before_turning(vzs)
+    termination = Termination.TURNING_POINT if keep < len(vzs) else traj.termination
+    zs, Xs, vzs, vXs, azs, aXs = (a[:keep] for a in (zs, Xs, vzs, vXs, azs, aXs))
+    span = traj.s[keep - 1] - traj.s[0]
+    ss = (traj.s[:keep] - traj.s[0]) / span
+    z_curve = CurveDense(ss, [zs, vzs * span, azs * span ** 2])
+    values = CurveDense(ss, [Xs, vXs * span, aXs * span ** 2])
+    dWs = (aXs * vzs - vXs * azs) / vzs ** 2 * span
+    zslopes = CurveDense(ss, [vXs / vzs, dWs])
+    spec_c = GeometrySpec(Family.COMPLEX_SPHERE, spec.h)
+    return ExplicitGeodesic(spec_c, zs[0], termination, values,
+                            ComplexPath(z_curve.value, z_curve.d1), zslopes)
 
 
 def geodesic_residual(spec: GeometrySpec, g: ExplicitGeodesic, t):
@@ -611,13 +602,10 @@ def geodesic_residual(spec: GeometrySpec, g: ExplicitGeodesic, t):
 
     Zero (to tolerance) exactly when the sampled curve satisfies the
     equation; the classic obstruction factor of the reconstruction theorems
-    is this residual rescaled by value/(h - value^2).
+    is this residual rescaled by value/(h - value^2). The curve's dense
+    output raises OutsideSupportError outside its support.
     """
-    lo, hi = g.support
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr < lo - 1e-12) or np.any(t_arr > hi + 1e-12):
-        raise OutsideSupportError(f"{t} outside support [{lo}, {hi}]")
-    secs, prescribed = sampled_and_prescribed(spec, g, t_arr)
+    secs, prescribed = sampled_and_prescribed(spec, g, np.atleast_1d(np.asarray(t, dtype=float)))
     out = secs - prescribed
     return out[0] if np.ndim(t) == 0 else out
 

@@ -174,6 +174,7 @@ class CurvatureReport:
     (every field with the leading shape (...))."""
 
     point: np.ndarray  # (..., n)
+    metric: np.ndarray  # (..., n, n), real for kn
     ricci: np.ndarray  # (..., n, n)
     ricci_scalar: complex
     sectional_k: complex | None = None  # sectional / holomorphic sectional (2D)
@@ -237,11 +238,11 @@ def domain_violation(spec: GeometrySpec, coords, guard: float = EPS_DOM) -> str 
     return _violation_text(spec, v_bad) if v_bad or den_bad else None
 
 
-def require_in_domain(spec: GeometrySpec, coords, guard: float = EPS_DOM) -> None:
+def require_in_domain(spec: GeometrySpec, coords) -> None:
     """Raise OutOfDomainError at the first point of ``coords`` (one point or a
-    (..., n) array of points) outside the domain, naming its condition."""
+    (..., n) array) outside the domain with guard EPS_DOM, naming its condition."""
     points = np.asarray(coords)
-    v_bad, den_bad = _domain_masks(spec, points, guard)
+    v_bad, den_bad = _domain_masks(spec, points, EPS_DOM)
     bad = np.flatnonzero(v_bad | den_bad)
     if bad.size:
         first = bad[0]
@@ -448,13 +449,13 @@ def curvature_at(spec: GeometrySpec, coords) -> CurvatureReport:
     if spec.dim == 2:
         r0101 = np.einsum("...m,...m->...", g0[..., 0, :], riem[..., :, 1, 0, 1])
         k = r0101 / (g0[..., 0, 0] * g0[..., 1, 1] - g0[..., 0, 1] * g0[..., 1, 0])
-        return CurvatureReport(points, ricci, scalar[()], sectional_k=k[()])
+        return CurvatureReport(points, g0, ricci, scalar[()], sectional_k=k[()])
     ricci, scalar, g0 = ricci.real, scalar.real, g0.real
     iu = np.triu_indices(4)
     r_up, g_up = ricci[..., iu[0], iu[1]], g0[..., iu[0], iu[1]]
     eta = np.einsum("...k,...k->...", r_up, g_up) / np.einsum("...k,...k->...", g_up, g_up)
     residual = np.max(np.abs(ricci - eta[..., None, None] * g0), axis=(-2, -1))
-    return CurvatureReport(points, ricci, scalar[()],
+    return CurvatureReport(points, g0, ricci, scalar[()],
                            einstein_eta=eta[()], einstein_fit_residual=residual[()])
 
 

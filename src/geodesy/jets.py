@@ -53,11 +53,11 @@ class Taylor2:
         return self.grad.shape[-1]
 
     @staticmethod
-    def constant(c, n: int, dtype=np.float64) -> "Taylor2":
+    def constant(c, n: int, dtype) -> "Taylor2":
         return Taylor2(c, np.zeros(n, dtype), np.zeros((n, n), dtype))
 
     @staticmethod
-    def coordinate(value, k: int, n: int, dtype=np.float64) -> "Taylor2":
+    def coordinate(value, k: int, n: int, dtype) -> "Taylor2":
         """The k-th of n coordinates, at the points ``value`` (shape (...))."""
         value = np.asarray(value)
         grad = np.zeros(value.shape + (n,), dtype)

@@ -4,7 +4,9 @@ Coordinates (x, Phi, y, Psi) with z = x + iy, X = Phi + i Psi. The 4D metric
 is the real part of the holomorphic metric (scaling constant 1), its
 Christoffel symbols are the complexification of the holomorphic ones, and 4D
 geodesics project onto complex-chart geodesics run with a real parameter.
-Every operation here verifies one leg of that correspondence numerically.
+Every operation here verifies one leg of that correspondence numerically; the
+geodesic leg integrates both charts and converts each run to explicit form
+with the one conversion of :func:`geodesy.geodesics.explicit_from_trajectory`.
 """
 
 from __future__ import annotations
@@ -14,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import Expression, eval_jet2
-from .geodesics import (
-    GeodesicState,
-    accelerations,
-    explicit_from_trajectory,
-    integrate_geodesic,
-    path_explicit_from_samples,
-)
+from .geodesics import GeodesicState, explicit_from_trajectory, integrate_geodesic
 from .geometry import (
     Family,
     GeometrySpec,
@@ -158,8 +154,8 @@ def kn_geodesic_split(spec: GeometrySpec, initial: GeodesicState, s_span,
 
     The two trajectories are matched componentwise (x, y, Phi, Psi against
     the real and imaginary parts of z, X), and the solution basis built from
-    the 4D split data (Phi + i Psi along s -> z(s)) is compared against the
-    basis reconstructed in the complex chart.
+    the 4D run (Phi + i Psi along s -> x + iy) is compared against the basis
+    built from the complex-chart run.
     """
     spec_c = _require_kn(spec)
     coords = tuple(np.asarray(initial.coords, dtype=float).tolist())
@@ -176,29 +172,16 @@ def kn_geodesic_split(spec: GeometrySpec, initial: GeodesicState, s_span,
     # np.max keeps a NaN (the builtin max drops it)
     coord_sup = float(np.max(np.abs([q4[0] - qc[0].real, q4[2] - qc[0].imag,
                                      q4[1] - qc[1].real, q4[3] - qc[1].imag])))
-    basis_sup = _split_basis_gap(spec, spec_c, traj4, trajc)
+    basis_sup = _split_basis_gap(spec_c, traj4, trajc)
     return KNSplitReport(grid, coord_sup, basis_sup, tol)
 
 
-def _split_basis_gap(spec, spec_c, traj4, trajc) -> float:
-    zs, Xs = chart_points(spec, traj4.coords)
-    vzs, vXs = chart_points(spec, traj4.velocities)
-    azs, aXs = chart_points(spec, accelerations(spec, traj4.coords, traj4.velocities))
-
-    def z_part(s, which):
-        """z (which = 0) or dz/ds (which = 1) of the 4D trajectory at s."""
-        q = traj4.state_at(s)[which]
-        return q[0] + 1j * q[2]
-
-    g_split = path_explicit_from_samples(
-        spec_c, traj4.s, zs, Xs, vzs, vXs, azs, aXs,
-        lambda s: z_part(s, 0), lambda s: z_part(s, 1), traj4.termination)
-    g_complex = explicit_from_trajectory(trajc)
-    basis_split = reconstruct_basis(spec_c, g_split)
-    basis_complex = reconstruct_basis(spec_c, g_complex)
+def _split_basis_gap(spec_c, traj4, trajc) -> float:
+    split = reconstruct_basis(spec_c, explicit_from_trajectory(traj4))
+    chart = reconstruct_basis(spec_c, explicit_from_trajectory(trajc))
     # both runs normalize the same affine range to [0, 1], so equal
     # parameters address the same point of the underlying geodesic
-    fs = np.linspace(0.0, min(g_split.support[1], g_complex.support[1]), 17)
+    fs = np.linspace(0.0, min(split.support[1], chart.support[1]), 17)
     return float(np.max(np.abs(np.concatenate([
-        basis_split.u_top.value(fs) - basis_complex.u_top.value(fs),
-        basis_split.u_bot.value(fs) - basis_complex.u_bot.value(fs)]))))
+        split.u_top.value(fs) - chart.u_top.value(fs),
+        split.u_bot.value(fs) - chart.u_bot.value(fs)]))))

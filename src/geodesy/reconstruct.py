@@ -612,8 +612,10 @@ def riccati_solution_is_geodesic(spec: GeometrySpec, theta,
         factor = -1j
     else:
         raise ValueError("sign_mode must be 'real' or 'imaginary'")
-    devs = np.abs(factor * theta.d2(grid) - explicit_second(
-        spec, grid, factor * theta.value(grid), factor * theta.d1(grid)))
+    # v = 0 (the ads boundary) makes a deviation inf or NaN, which fails the check
+    with np.errstate(divide="ignore", invalid="ignore"):
+        devs = np.abs(factor * theta.d2(grid) - explicit_second(
+            spec, grid, factor * theta.value(grid), factor * theta.d1(grid)))
     return RiccatiGeodesicReport(float(ric), float(np.max(devs)), tol, factor)
 
 

@@ -113,6 +113,20 @@ def test_riccati_command(capsys):
     assert names == {"riccati_residual", "induced_geodesic_residual"}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_riccati_through_the_ads_boundary_fails_closed_without_warnings(capsys):
+    """Theta = -2 tan 2x is 0 at x = 0, where the induced curve Psi = Theta meets
+    the ads boundary v = 0: the deviation there is NaN, so the check fails,
+    and no numpy RuntimeWarning reaches stderr."""
+    code, out, err = run_cli(capsys, "riccati", "--h", "4", "--set", "theta0=0",
+                             "--set", "span=0,0.7")
+    assert code == 1 and err == ""
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["riccati_residual"]["pass"] is True
+    assert checks["induced_geodesic_residual"]["max_deviation"] == "nan"
+    assert checks["induced_geodesic_residual"]["pass"] is False
+
+
 def test_scenario_file_round_trip(tmp_path, capsys):
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text("[scenario]\nfamily = ads-\nh = x^2+2\npoints = 8\nseed = 3\n")
@@ -382,7 +396,8 @@ def test_ricci_proportional_is_relative_to_the_metric(capsys, monkeypatch, h, po
     """Ric off by 1e-5 g fails at a point with |g| < 1 and at one with
     |g| near 1e200; the exact Ricci tensor passes at both."""
     from conftest import make_spec
-    size = np.max(np.abs(cli.metric_at(make_spec("hyperbolic", h), point).components))
+    from geodesy.geometry import metric_at
+    size = np.max(np.abs(metric_at(make_spec("hyperbolic", h), point).components))
     assert size < 1 or 1e199 < size < 1e201
     monkeypatch.setattr(cli, "sample_domain_points", lambda spec, rng, count: np.array([point] * 3))
     argv = ("curvature", "--family", "hyperbolic", "--h", h, "--set", "points=3")
@@ -392,7 +407,7 @@ def test_ricci_proportional_is_relative_to_the_metric(capsys, monkeypatch, h, po
 
     def off_by_1e5_g(spec, pts):
         rep = original(spec, pts)
-        return dataclasses.replace(rep, ricci=rep.ricci + 1e-5 * cli.metric_at(spec, pts).components)
+        return dataclasses.replace(rep, ricci=rep.ricci + 1e-5 * rep.metric)
 
     monkeypatch.setattr(cli, "curvature_at", off_by_1e5_g)
     code, out, _ = run_cli(capsys, *argv)

@@ -99,6 +99,29 @@ def test_vertical_geodesic_stops_at_domain_boundary():
     assert traj.s[-1] == pytest.approx(s_star, abs=1e-9)
 
 
+@pytest.mark.parametrize("family, h, coords, velocity, span", [
+    ("hyperbolic", "sin(x)+3", (0.1, 1.2), (0.7, -0.3), (0, 1.2)),
+    ("complex", "exp(z)", (0.0 + 0j, 1.5j), (1.0 + 0.5j, 0.2 - 0.1j), (0, 0.8)),
+    ("kn", "z^2+1", (0.0, 1.6, 0.1, 0.4), (0.8, 0.2, 0.3, -0.1), (0, 1.2)),
+    # ends on the located boundary point, past the last solver node
+    ("hyperbolic", "1+0*x", (0.0, 1.3), (0.0, -0.65), (0, 5)),
+])
+def test_dense_output_goes_through_the_node_data(family, h, coords, velocity, span):
+    """Each coordinate's curve takes the stored coordinate at every node bit for
+    bit, and its d1 and d2 the stored velocity and the closed-form Christoffel
+    acceleration up to the rounding of the Bernstein coefficients' differences
+    (an interpolant without the accelerations misses them by far more)."""
+    spec = make_spec(family, h)
+    traj = integrate_geodesic(spec, GeodesicState(coords, velocity), span, tol=1e-11)
+    assert np.array_equal(traj.accelerations,
+                          gd.accelerations(spec, traj.coords, traj.velocities))
+    q, v = traj.state_at(traj.s)
+    assert np.array_equal(q, traj.coords.T)
+    assert np.allclose(v, traj.velocities.T, rtol=1e-11, atol=1e-12)
+    d2 = np.array([curve.d2(traj.s) for curve in traj._curves])
+    assert np.allclose(d2, traj.accelerations.T, rtol=1e-8, atol=1e-8)
+
+
 def test_state_at_outside_span_rejected():
     spec = make_spec("hyperbolic", "-1")
     traj = integrate_geodesic(spec, GeodesicState((0.0, 1.0), (1.0, 0.0)), (0, 1))
@@ -371,11 +394,11 @@ def test_runs_equal_scipy_event_runs_without_their_event_sample(case):
     for span in spans:
         ref = solve_ivp(rhs, span, y0, method="RK45", rtol=tol, atol=tol * 1e-2,
                         events=events, max_step=max_step)
-        ts, ys, steps, exit_step = gd._run(rhs, span, y0, margin, tol, max_step, False)
+        ts, ys, exit_step = gd._run(rhs, span, y0, margin, tol, max_step)
         keep = len(ref.t) - (ref.status == 1)
         assert np.array_equal(ts, ref.t[:keep])
         assert np.array_equal(ys, ref.y[:, :keep])
-        assert steps is None and (exit_step is not None) == (ref.status == 1)
+        assert (exit_step is not None) == (ref.status == 1)
         stopped.append(ref.status == 1)
     assert any(stopped)
 
@@ -409,8 +432,8 @@ def test_a_nan_margin_stops_a_run():
         with np.errstate(invalid="ignore"):
             return np.sqrt(y[0])
 
-    ts, ys, _, exit_step = gd._run(lambda _t, y: [-1.0], (0.0, 3.0), [1.0], margin,
-                                   1e-10, 0.1, False)
+    ts, ys, exit_step = gd._run(lambda _t, y: [-1.0], (0.0, 3.0), [1.0], margin,
+                                1e-10, 0.1)
     assert exit_step is not None and exit_step(exit_step.t)[0] < 0
     assert np.all(ys[0] > 0) and ts[-1] < 1.0 < exit_step.t
 

@@ -145,6 +145,25 @@ def test_complex_affine_matches_kn_integration():
         assert abs(complex(q4[1], q4[3]) - qc[1]) < 1e-8
 
 
+def test_a_kn_run_converts_to_the_explicit_form_of_the_complex_chart_run():
+    """explicit_from_trajectory reads a 4D run through z = x + iy, X = Phi + i Psi:
+    its path, X and dX/dz equal those of the complex-chart run from the same
+    data. d2X/dz2, the derivative of the cubic Hermite curve of dX/dz, agrees
+    to its interpolation error, relative to its size (up to about 100 here)."""
+    spec_kn = make_spec("kn", "z^2+1")
+    spec_c = make_spec("complex", "z^2+1")
+    state4 = GeodesicState((0.0, 1.6, 0.1, 0.4), (0.8, 0.2, 0.3, -0.1))
+    statec = GeodesicState((0.1j, 1.6 + 0.4j), (0.8 + 0.3j, 0.2 - 0.1j))
+    g4 = gd.explicit_from_trajectory(integrate_geodesic(spec_kn, state4, (0, 0.9), tol=1e-12))
+    gc = gd.explicit_from_trajectory(integrate_geodesic(spec_c, statec, (0, 0.9), tol=1e-12))
+    assert g4.spec == spec_c and g4.termination is gc.termination
+    assert g4.support == gc.support == (0.0, 1.0)
+    ts = np.linspace(0.0, 1.0, 41)
+    for part in ("point", "value", "slope"):
+        assert np.max(np.abs(getattr(g4, part)(ts) - getattr(gc, part)(ts))) < 1e-8
+    assert np.max(np.abs(g4.second(ts) - gc.second(ts)) / (1 + np.abs(gc.second(ts)))) < 1e-7
+
+
 def test_batched_kn_checks_equal_one_point_calls():
     """One array call per check equals the one-point calls entry by entry, to
     rounding: numpy's array and 0-d exp may differ in the last bit (which the
