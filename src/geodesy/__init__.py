@@ -46,6 +46,7 @@ from .reconstruct import (
     riccati_residual,
     riccati_solution_is_geodesic,
     theta_from_geodesic,
+    transition,
 )
 
 __version__ = "0.1.0"

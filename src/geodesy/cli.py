@@ -234,7 +234,7 @@ def run_solve(scenario: Scenario) -> tuple[list[dict], list[dict]]:
     h = eval_jet2(spec.h, z).value
     solutions = {"u": jets.combination(scenario.floatval("A", 1.0),
                                        scenario.floatval("B", 0.0)),
-                 "u_top": jets.top, "u_bot": jets.bot}
+                 "u_top": jets.combination(1, 0), "u_bot": jets.combination(0, 1)}
     residual, res_top, res_bot = (np.abs(d2 + h * val) for val, _, d2 in solutions.values())
     # np.max keeps a NaN deviation (the builtin max drops it), so the check fails
     checks = [
@@ -249,12 +249,14 @@ def run_solve(scenario: Scenario) -> tuple[list[dict], list[dict]]:
                                    / max(abs(wr[0]), 1e-30)), tol))
     sign = -float(spec.facts.sign)  # top*bot = -s value^2
     values = g.value(grid)
-    prod_dev = np.max(np.abs(jets.product - sign * values ** 2))
+    prod_dev = np.max(np.abs(jets.theta[0] * jets.theta[2] - sign * values ** 2))
     checks.append(_check("theta_product_identity", len(grid), float(prod_dev),
                          max(tol * 1e-3, 1e-9)))
     if is_geodesic:
-        g_rec = rc.invert_to_geodesic(basis)
-        rt = np.max(np.abs(g_rec.value(grid) - values))
+        # the complex chart's X and -X give one pair (top*bot = -X^2, and the
+        # explicit equation is odd in X); np.min keeps a NaN
+        recovered = rc.invert_to_geodesic(basis).value(grid)
+        rt = np.min([np.max(np.abs(recovered - values)), np.max(np.abs(recovered + values))])
         checks.append(_check("inversion_round_trip", len(grid), float(rt),
                              max(tol * 0.1, 1e-7)))
     columns = {"param": grid, "point_re": np.real(z), "point_im": np.imag(z)}

@@ -21,14 +21,15 @@ value^2 = -s top*bot.
 The two branches share every term but the sign of the unit, so each query
 evaluates both in one pass: one read of the geodesic and of h, one den, one
 tracked root, and one Gauss rule for both exponents. One evaluation,
-SolutionBasis.jets, serves every solution and every check of the basis: it
-gives u, u' and u'' of both solutions from one values call and one Theta
-read. The solutions are weights over it (u_top is (1, 0), u_bot is (0, 1)
-and A u_top + B u_bot is (A, B)), and the Wronskian and the product
-top*bot read the same arrays. A one-point query (jets, values, a Theta read)
-is the length-1 case of an array query and returns its entry, so it equals
-the same point of a batch bit for bit: numpy may round a scalar operation
-unlike the same operation in an array loop.
+SolutionBasis.jets, serves every solution and every check of the basis: one
+values call and one Theta read give its jet matrix, rows u, u', u'' and
+columns u_top, u_bot, whose first two rows are the fundamental matrix F. A
+solution is weights over the columns (A u_top + B u_bot is (A, B)), the
+Wronskian is det F, and transition gives M = F_a^-1 F_b, constant for two
+bases of one equation. A one-point query (jets, transition, values, a Theta
+read) is the length-1 case of an array query and returns its entry, so it
+equals the same point of a batch bit for bit: numpy may round a scalar
+operation unlike the same operation in an array loop.
 """
 
 from __future__ import annotations
@@ -259,43 +260,28 @@ def _weigh(weights, top, bot):
 class BasisJets:
     """u, u' and u'' of both solutions at the same parameters.
 
-    ``top`` and ``bot`` are the (u, u', u'') triples, built from one
-    ``values`` call and one Theta read: u' = Theta u and
-    u'' = (Theta' + Theta^2) u. ``theta`` is that read, (top, top', bot,
-    bot') as ThetaPair._theta returns it.
+    ``matrix[r, c]`` is row r (u, u', u'') of column c (u_top, u_bot), the
+    parameter axes last, so its first two rows are the fundamental matrix F.
+    ``theta`` is the Theta read it was built from, (top, top', bot, bot') as
+    ThetaPair._theta returns it: u' = Theta u and u'' = (Theta' + Theta^2) u.
     """
 
     theta: tuple
-    top: tuple
-    bot: tuple
-
-    @classmethod
-    def from_read(cls, values, theta) -> "BasisJets":
-        """The jets from one ``values`` call and one Theta read."""
-        (top, bot), (th_top, dth_top, th_bot, dth_bot) = values, theta
-        return cls(theta, (top, th_top * top, (dth_top + th_top * th_top) * top),
-                   (bot, th_bot * bot, (dth_bot + th_bot * th_bot) * bot))
+    matrix: np.ndarray
 
     def __getitem__(self, i) -> "BasisJets":
         """The jets at entry ``i`` of an array query, as computed there."""
-        return BasisJets(*(tuple(part[i] for part in parts)
-                           for parts in (self.theta, self.top, self.bot)))
+        return BasisJets(tuple(part[i] for part in self.theta), self.matrix[..., i])
 
     def combination(self, a, b) -> tuple:
         """(u, u', u'') of a u_top + b u_bot."""
-        return tuple(_weigh((a, b), top, bot) for top, bot in zip(self.top, self.bot))
+        return tuple(_weigh((a, b), top, bot) for top, bot in self.matrix)
 
     @property
     def wronskian(self):
         """u_top u_bot' - u_top' u_bot."""
-        (top, d1_top, _), (bot, d1_bot, _) = self.top, self.bot
+        (top, bot), (d1_top, d1_bot) = self.matrix[:2]
         return top * d1_bot - d1_top * bot
-
-    @property
-    def product(self):
-        """Theta_top Theta_bot; see ThetaPair.product."""
-        top, _, bot, _ = self.theta
-        return top * bot
 
 
 class _Solution:
@@ -376,6 +362,8 @@ class SolutionBasis:
         each [a_i, b_i]."""
         half = 0.5 * (b - a)
         s = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
+        # keep _theta's arrays: the hyperbolic ones are strided real-part views,
+        # and @ over a contiguous copy moves the last bit of the Gauss sums
         top, _, bot, _ = self.theta._theta(s.ravel())
         if self._path is not None:
             velocity = self._path.velocity(s.ravel())
@@ -402,7 +390,9 @@ class SolutionBasis:
         """u, u' and u'' of both solutions at t (a number or an array)."""
         if np.ndim(t) == 0:
             return self.jets(np.array([t], dtype=float))[0]
-        return BasisJets.from_read(self.values(t), self.theta._theta(t))
+        values, theta = self.values(t), self.theta._theta(t)
+        return BasisJets(theta, np.stack([(u, th * u, (dth + th * th) * u) for u, th, dth
+                                          in zip(values, theta[0::2], theta[1::2])], axis=1))
 
     def wronskian(self, t):
         return self.jets(t).wronskian
@@ -410,6 +400,17 @@ class SolutionBasis:
     def combination(self, a: float, b: float) -> _Solution:
         """A u_top + B u_bot as a dense function."""
         return _Solution(self, a, b)
+
+
+def transition(a: SolutionBasis, b: SolutionBasis, t):
+    """M = F_a^-1 F_b at t, one point of both bases (M's 2x2 axes first), from
+    F_a^-1 as the adjugate of F_a over W_a, so det M = W_b / W_a."""
+    if np.ndim(t) == 0:
+        return transition(a, b, np.array([t], dtype=float))[..., 0]
+    jets_a, jets_b = a.jets(t), b.jets(t)
+    (u, v), (du, dv) = jets_a.matrix[:2]
+    return np.einsum("ij...,jk...->ik...", np.array([[dv, -v], [-du, u]]),
+                     jets_b.matrix[:2]) / jets_a.wronskian
 
 
 def reconstruct_basis(spec: GeometrySpec, g: ExplicitGeodesic, base=None,

@@ -309,6 +309,45 @@ def test_solve_deviations_equal_separate_queries_of_each_solution(values):
     assert got == expected
 
 
+_COMPLEX_START = {"family": "complex", "h": "z", "path": "0,0;0.5,0.2", "slope0": "0.1,0"}
+
+
+def _complex_solve(value0):
+    """The complex run from ``value0`` and the inversion of its basis."""
+    scenario = cli.Scenario({**_COMPLEX_START, "value0": value0})
+    spec = cli._spec_from(scenario)
+    g, _ = cli._solve_geodesic(scenario, spec)
+    return g, rc.invert_to_geodesic(rc.reconstruct_basis(spec, g, check_residual=False))
+
+
+def _complex_solve_cli(capsys, value0):
+    argv = [f"--set={key}={val}" for key, val in {**_COMPLEX_START, "value0": value0}.items()]
+    code, out, _ = run_cli(capsys, "solve", *argv)
+    return code, json.loads(out)
+
+
+@pytest.mark.parametrize("value0, sign", [("0.5,1.5", 1), ("-0.5,1.5", -1)])
+def test_the_complex_round_trip_holds_up_to_the_sign_of_x(capsys, value0, sign):
+    """X and -X give one Theta pair on the complex chart: the inversion
+    returns -X from a start with Re X < 0, and the round trip passes."""
+    g, recovered = _complex_solve(value0)
+    grid = np.linspace(*g.support, cli.GRID_POINTS)
+    assert np.max(np.abs(recovered.value(grid) - sign * g.value(grid))) < 1e-9
+    code, report = _complex_solve_cli(capsys, value0)
+    assert code == 0 and report["pass"] is True
+
+
+@pytest.mark.parametrize("value0", ["0.5,1.5", "-0.5,1.5"])
+def test_a_recovered_curve_that_is_neither_x_nor_minus_x_fails(capsys, monkeypatch, value0):
+    """The inversion of a run whose start moved by 1e-3 stands in for the real one."""
+    moved = cli._complex_scalar(value0) + 1e-3
+    _, inverted = _complex_solve(f"{moved.real},{moved.imag}")
+    monkeypatch.setattr(rc, "invert_to_geodesic", lambda basis: inverted)
+    code, report = _complex_solve_cli(capsys, value0)
+    assert code == 1
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == ["inversion_round_trip"]
+
+
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON token {token}")
 

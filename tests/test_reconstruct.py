@@ -447,14 +447,96 @@ def test_one_point_jets_equal_their_batch_entry(query_bases):
         jets = basis.jets(ts)
         for i, t in enumerate(ts):
             at_one, entry = basis.jets(t), jets[i]
-            for point, batch in zip((*at_one.top, *at_one.bot, *at_one.theta),
-                                    (*entry.top, *entry.bot, *entry.theta)):
+            for point, batch in zip((*at_one.matrix.ravel(), *at_one.theta),
+                                    (*entry.matrix.ravel(), *entry.theta)):
                 assert np.ndim(point) == 0 and point == batch
             # from the entries' scalars, which numpy may round unlike the array
             wronskian = jets.wronskian[i]
             assert abs(at_one.wronskian - wronskian) <= 1e-14 * abs(wronskian)
-            assert basis.values(t) == (entry.top[0], entry.bot[0])
+            assert basis.values(t) == tuple(entry.matrix[0])
             assert basis.theta._theta(t) == entry.theta
+
+
+# --- the transition matrix between two bases ---------------------------------------
+
+#: bound on the relative variation of M over the common support of two bases
+TRANSITION_TOL = 1e-8
+
+
+def _basis_from(family, h, value0, slope0=0.0):
+    spec = make_spec(family, h)
+    g = integrate_explicit(spec, 0.0, value0, slope0, support=(-1.0, 1.0), tol=1e-12)
+    return rc.reconstruct_basis(spec, g, base=0.0)
+
+
+def _transition_on_common_support(a, b):
+    lo, hi = max(a.support[0], b.support[0]), min(a.support[1], b.support[1])
+    ts = np.linspace(lo, hi, 101)
+    return ts, rc.transition(a, b, ts)
+
+
+def _variation(m):
+    """max |M(t) - M(t0)| / max |M(t0)|."""
+    return np.max(np.abs(m - m[..., :1])) / np.max(np.abs(m[..., 0]))
+
+
+def _assert_one_solution_space(a, b):
+    """M is constant, b's solutions are a's combinations with M's columns as
+    weights, and det M is the ratio of the Wronskians."""
+    ts, m = _transition_on_common_support(a, b)
+    assert _variation(m) <= TRANSITION_TOL
+    jets_a, jets_b = a.jets(ts), b.jets(ts)
+    for k in (0, 1):
+        combined, u = jets_a.combination(*m[:, k, 0])[0], jets_b.matrix[0, k]
+        assert np.max(np.abs(combined - u)) <= TRANSITION_TOL * np.max(np.abs(u))
+    ratio = b.wronskian(ts) / a.wronskian(ts)
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    assert np.max(np.abs(det - ratio) / np.abs(ratio)) <= 1e-14
+
+
+@pytest.mark.parametrize("h", ["sin(x)+3", "x", "x^2+2"])
+@pytest.mark.parametrize("second", [("hyperbolic", 1.2, 0.3), ("ads+", 1.5, 0.0)],
+                         ids=["hyperbolic", "ads+"])
+def test_two_geodesics_give_bases_with_a_constant_transition(h, second):
+    """The basis comes from an arbitrary geodesic: another start of the same
+    family, or a geodesic of another family, spans the same solutions."""
+    family, value0, slope0 = second
+    _assert_one_solution_space(_basis_from("hyperbolic", h, 1.0),
+                               _basis_from(family, h, value0, slope0))
+
+
+@pytest.mark.parametrize("h", ["sin(x)+3", "x^2+2"])
+@pytest.mark.parametrize("family", ["hyperbolic", "ads+", "ads-"])
+def test_the_restart_geodesic_spans_the_same_solutions(family, h):
+    """The restart that stitches charts, value sqrt(|h(0)| + 1) and slope 0,
+    keeps den = h - s value^2 away from zero and gives the same solution space."""
+    a = _basis_from(family, h, 1.0, 0.2)
+    h0 = expr.eval_jet2(a.spec.h, 0.0).value
+    _assert_one_solution_space(a, _basis_from(family, h, np.sqrt(abs(h0) + 1.0)))
+
+
+def _constant_curve_basis(a):
+    """The basis of a constant curve, which is no geodesic."""
+    g = ExplicitGeodesic.from_function(a.spec, lambda x: 1.0, a.support,
+                                       dfn=lambda x: 0.0, d2fn=lambda x: 0.0)
+    return rc.reconstruct_basis(a.spec, g, base=0.0, check_residual=False)
+
+
+@pytest.mark.parametrize("other", [
+    _constant_curve_basis,
+    lambda a: _basis_from("hyperbolic", "sin(x)+3+1e-3", 1.2, 0.3),
+], ids=["constant-curve", "h-plus-1e-3"])
+def test_a_basis_of_another_equation_has_a_varying_transition(other):
+    a = _basis_from("hyperbolic", "sin(x)+3", 1.0)
+    assert _variation(_transition_on_common_support(a, other(a))[1]) > TRANSITION_TOL
+
+
+def test_one_point_transition_equals_its_batch_entry():
+    a, b = _basis_from("hyperbolic", "x", 1.0), _basis_from("ads+", "x", 1.5)
+    ts, m = _transition_on_common_support(a, b)
+    for i in range(0, len(ts), 10):
+        at_one = rc.transition(a, b, ts[i])
+        assert at_one.shape == (2, 2) and np.array_equal(at_one, m[..., i])
 
 
 def test_array_theta_matches_scalar_where_the_conjugate_form_is_taken(airy_basis):
