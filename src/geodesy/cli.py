@@ -6,6 +6,10 @@ checks pass, 1 a check failed (or, in ``verify-all``, a scenario raised), 2
 invalid input. Reports are deterministic for a fixed scenario and seed up to
 the wall_time_s field. The JSON is strict: a NaN or infinite deviation is
 written as the string "nan", "inf" or "-inf".
+
+A runner returns ``(checks, table)``. Each check is made by :func:`_check`
+from the deviations of one identity at every sample (the last axis), and the
+table is a dict of equal-length columns, one CSV row per entry.
 """
 
 from __future__ import annotations
@@ -45,19 +49,21 @@ GRID_POINTS = 101  # the check and table grid of a geodesic or solve case
 RICCATI_ROWS = 51  # the table of a riccati case; its checks have their own grid
 
 
-def _check(name: str, points: int, max_dev: float, tol: float) -> dict:
+def _check(name: str, deviations, tol: float) -> dict:
+    """A check over ``deviations``, whose last axis runs over the samples.
+
+    Their largest is taken by np.max, which keeps a NaN (the builtin max drops
+    it), so a NaN or inf anywhere fails the check.
+    """
+    deviations = np.asarray(deviations)
+    max_dev, tol = float(np.max(deviations, initial=0.0)), float(tol)
     return {
         "name": name,
-        "points": int(points),
-        "max_deviation": float(max_dev),
-        "tolerance": float(tol),
-        "pass": bool(max_dev <= tol),
+        "points": deviations.shape[-1],
+        "max_deviation": max_dev,
+        "tolerance": tol,
+        "pass": max_dev <= tol,
     }
-
-
-def _sup(deviations) -> float:
-    """The largest deviation, NaN if any is NaN (0.0 for none)."""
-    return float(np.max(deviations, initial=0.0))
 
 
 def _complex_scalar(text: str) -> complex:
@@ -126,43 +132,37 @@ def _spec_from(scenario: Scenario) -> GeometrySpec:
 
 # --- runners -------------------------------------------------------------------
 
-def run_curvature(scenario: Scenario) -> tuple[list[dict], list[dict]]:
+def run_curvature(scenario: Scenario) -> tuple[list[dict], dict]:
     spec = _spec_from(scenario)
     tol = scenario.tol
-    points = scenario.intval("points", 100)
     rng = np.random.default_rng(scenario.seed)
-    pts = sample_domain_points(spec, rng, points)
+    pts = sample_domain_points(spec, rng, scenario.intval("points", 100))
     rep = curvature_at(spec, pts)  # one array pass over every point
     expected = spec.facts.expected
-    # deviations are reduced with np.max, which keeps a NaN (the builtin max
-    # drops it), so a NaN fails its check
     if spec.dim == 4:
         checks = [
-            _check("einstein_eta", points, _sup(np.abs(rep.einstein_eta - expected)), tol),
-            _check("ricci_scalar", points,
-                   _sup(np.abs(rep.ricci_scalar - spec.dim * expected)), tol),
-            _check("einstein_fit_residual", points, _sup(rep.einstein_fit_residual), tol),
-            _check("metric_consistency", points,
-                   _sup(kn.kn_metric_consistency(spec, pts)), 1e-10),
+            _check("einstein_eta", np.abs(rep.einstein_eta - expected), tol),
+            _check("ricci_scalar", np.abs(rep.ricci_scalar - spec.dim * expected), tol),
+            _check("einstein_fit_residual", rep.einstein_fit_residual, tol),
+            _check("metric_consistency", kn.kn_metric_consistency(spec, pts), 1e-10),
         ]
-        rows = [{"x": p[0], "Phi": p[1], "y": p[2], "Psi": p[3],
-                 "eta": eta, "ricci_scalar": scalar}
-                for p, eta, scalar in zip(pts, rep.einstein_eta, rep.ricci_scalar)]
-        return checks, rows
+        table = {**dict(zip(spec.coord_names, pts.T)),
+                 "eta": rep.einstein_eta, "ricci_scalar": rep.ricci_scalar}
+        return checks, table
     g = rep.metric
     # relative to the metric's size: where max|g| <= 1 this is the plain gap
     ricci_devs = (np.max(np.abs(rep.ricci - expected * g), axis=(-2, -1))
                   / np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1))))
     checks = [
-        _check("sectional_k", points, _sup(np.abs(rep.sectional_k - expected)), tol),
-        _check("ricci_proportional", points, _sup(ricci_devs), tol),
+        _check("sectional_k", np.abs(rep.sectional_k - expected), tol),
+        _check("ricci_proportional", ricci_devs, tol),
     ]
-    rows = [{"coord0": complex(p[0]), "coord1": complex(p[1]), "K": complex(k)}
-            for p, k in zip(pts, rep.sectional_k)]
-    return checks, rows
+    # the 2D table is complex for every family
+    columns = np.array([*pts.T, rep.sectional_k], dtype=complex)
+    return checks, dict(zip(("coord0", "coord1", "K"), columns))
 
 
-def run_geodesic(scenario: Scenario) -> tuple[list[dict], list[dict]]:
+def run_geodesic(scenario: Scenario) -> tuple[list[dict], dict]:
     spec = _spec_from(scenario)
     tol = scenario.tol
     rk_tol = 1e-11
@@ -172,8 +172,8 @@ def run_geodesic(scenario: Scenario) -> tuple[list[dict], list[dict]]:
     traj = integrate_geodesic(spec, state, span, tol=rk_tol)
     grid = np.linspace(traj.s[0], traj.s[-1], GRID_POINTS)
     speeds = traj.speed_squared(grid)
-    drift = float(np.max(np.abs(speeds - speeds[0])) / max(abs(speeds[0]), 1e-30))
-    checks = [_check("speed_conservation", len(grid), drift, tol)]
+    drift = np.abs(speeds - speeds[0]) / max(abs(speeds[0]), 1e-30)
+    checks = [_check("speed_conservation", drift, tol)]
     if spec.facts.sign < 0:
         # the other ads sign shares every geodesic
         other = GeometrySpec(
@@ -181,15 +181,15 @@ def run_geodesic(scenario: Scenario) -> tuple[list[dict], list[dict]]:
             spec.h)
         traj2 = integrate_geodesic(other, state, span, tol=rk_tol)
         shared = np.linspace(traj.s[0], min(traj.s[-1], traj2.s[-1]), 33)
-        dev = _sup(np.abs(np.concatenate(traj.state_at(shared))
-                          - np.concatenate(traj2.state_at(shared))))
-        checks.append(_check("ads_sign_shared_geodesics", 33, dev, 1e-10))
+        dev = np.abs(np.concatenate(traj.state_at(shared))
+                     - np.concatenate(traj2.state_at(shared)))
+        checks.append(_check("ads_sign_shared_geodesics", dev, 1e-10))
     names = spec.coord_names
     coords, velocities = traj.state_at(grid)
-    rows = [{"s": s, **dict(zip(names, q)), **dict(zip(["d" + n for n in names], v))}
-            for s, q, v in zip(grid, coords.T, velocities.T)]
-    rows.append({"s": f"termination={traj.termination.value}"})
-    return checks, rows
+    table = {"s": grid, **dict(zip(names, coords)),
+             **dict(zip(["d" + n for n in names], velocities)),
+             "termination": [traj.termination.value] * len(grid)}
+    return checks, table
 
 
 def _solve_geodesic(scenario: Scenario, spec: GeometrySpec):
@@ -220,7 +220,7 @@ def _solve_geodesic(scenario: Scenario, spec: GeometrySpec):
     return g, True
 
 
-def run_solve(scenario: Scenario) -> tuple[list[dict], list[dict]]:
+def run_solve(scenario: Scenario) -> tuple[list[dict], dict]:
     spec = _spec_from(scenario)
     tol = scenario.tol
     g, is_geodesic = _solve_geodesic(scenario, spec)
@@ -236,39 +236,36 @@ def run_solve(scenario: Scenario) -> tuple[list[dict], list[dict]]:
                                        scenario.floatval("B", 0.0)),
                  "u_top": jets.combination(1, 0), "u_bot": jets.combination(0, 1)}
     residual, res_top, res_bot = (np.abs(d2 + h * val) for val, _, d2 in solutions.values())
-    # np.max keeps a NaN deviation (the builtin max drops it), so the check fails
     checks = [
-        _check("ode_residual", len(grid), float(np.max(residual)), tol),
-        _check("ode_residual_basis", len(grid),
-               float(np.max(np.concatenate([res_top, res_bot]))), tol),
+        _check("ode_residual", residual, tol),
+        _check("ode_residual_basis", [res_top, res_bot], tol),
     ]
     if not basis.theta.coincident:
         wr = jets.wronskian
-        checks.append(_check("wronskian_constant", len(grid),
-                             float(np.max(np.abs(wr - wr[0]))
-                                   / max(abs(wr[0]), 1e-30)), tol))
+        checks.append(_check("wronskian_constant",
+                             np.abs(wr - wr[0]) / max(abs(wr[0]), 1e-30), tol))
     sign = -float(spec.facts.sign)  # top*bot = -s value^2
     values = g.value(grid)
-    prod_dev = np.max(np.abs(jets.theta[0] * jets.theta[2] - sign * values ** 2))
-    checks.append(_check("theta_product_identity", len(grid), float(prod_dev),
+    checks.append(_check("theta_product_identity",
+                         np.abs(jets.theta[0] * jets.theta[2] - sign * values ** 2),
                          max(tol * 1e-3, 1e-9)))
     if is_geodesic:
         # the complex chart's X and -X give one pair (top*bot = -X^2, and the
-        # explicit equation is odd in X); np.min keeps a NaN
+        # explicit equation is odd in X): the row with the smaller sup counts,
+        # and np.argmin takes a NaN row first
         recovered = rc.invert_to_geodesic(basis).value(grid)
-        rt = np.min([np.max(np.abs(recovered - values)), np.max(np.abs(recovered + values))])
-        checks.append(_check("inversion_round_trip", len(grid), float(rt),
+        both = np.abs([recovered - values, recovered + values])
+        checks.append(_check("inversion_round_trip", both[np.argmin(np.max(both, axis=-1))],
                              max(tol * 0.1, 1e-7)))
-    columns = {"param": grid, "point_re": np.real(z), "point_im": np.imag(z)}
+    table = {"param": grid, "point_re": np.real(z), "point_im": np.imag(z)}
     for name, (val, _, _) in solutions.items():
-        columns[f"{name}_re"] = np.real(val)
-        columns[f"{name}_im"] = np.imag(val)
-    columns["ode_residual"] = residual
-    rows = [{key: col[i] for key, col in columns.items()} for i in range(len(grid))]
-    return checks, rows
+        table[f"{name}_re"] = np.real(val)
+        table[f"{name}_im"] = np.imag(val)
+    table["ode_residual"] = residual
+    return checks, table
 
 
-def run_riccati(scenario: Scenario) -> tuple[list[dict], list[dict]]:
+def run_riccati(scenario: Scenario) -> tuple[list[dict], dict]:
     # a real Riccati solution is an ads geodesic, a complex one (times -i)
     # a complex-sphere geodesic
     modes = {"real": (Family.ADS_PLUS, float, "real"),
@@ -286,44 +283,37 @@ def run_riccati(scenario: Scenario) -> tuple[list[dict], list[dict]]:
     theta = rc.integrate_riccati(h, theta0, x0, span)
     report = rc.riccati_solution_is_geodesic(spec, theta, sign_mode, tol=tol)
     checks = [
-        _check("riccati_residual", 257, report.riccati_sup, tol),
-        _check("induced_geodesic_residual", 257, report.geodesic_sup, tol),
+        _check("riccati_residual", report.riccati, tol),
+        _check("induced_geodesic_residual", report.geodesic, tol),
     ]
-    lo, hi = theta.support
-    xs = np.linspace(lo, hi, RICCATI_ROWS)
-    rows = [{"x": x, "theta_re": np.real(v), "theta_im": np.imag(v)}
-            for x, v in zip(xs, theta.value(xs))]
-    return checks, rows
+    xs = np.linspace(*theta.support, RICCATI_ROWS)
+    values = theta.value(xs)
+    return checks, {"x": xs, "theta_re": np.real(values), "theta_im": np.imag(values)}
 
 
-def run_kn_verify(scenario: Scenario) -> tuple[list[dict], list[dict]]:
+def run_kn_verify(scenario: Scenario) -> tuple[list[dict], dict]:
     h = parse(scenario.require("h"), "complex")
     spec = GeometrySpec(Family.KAHLER_NORDEN, h)
     tol = scenario.tol
-    points = scenario.intval("points", 60)
     rng = np.random.default_rng(scenario.seed)
-    pts = sample_domain_points(spec, rng, points)
+    pts = sample_domain_points(spec, rng, scenario.intval("points", 60))
     rep = curvature_at(spec, pts)
     eta = spec.facts.expected
-    checks = [
-        _check("cauchy_riemann", points,
-               _sup(kn.cauchy_riemann_residual(h, pts[:, 0], pts[:, 2])), 1e-8),
-        _check("metric_consistency", points, _sup(kn.kn_metric_consistency(spec, pts)), 1e-10),
-        _check("einstein_eta", points, _sup(np.abs(rep.einstein_eta - eta)), tol),
-        _check("ricci_scalar", points,
-               _sup(np.abs(rep.ricci_scalar - spec.dim * eta)), tol),
-        _check("christoffel_correspondence", points,
-               kn.kn_christoffel_correspondence(spec, pts).worst, 1e-8),
-    ]
     split = kn.kn_geodesic_split(
         spec, GeodesicState((0.0, 1.6, 0.0, 0.4), (1.0, 0.2, 0.5, -0.1)), (0.0, 1.0))
-    checks.append(_check("geodesic_split_coords", len(split.s_grid),
-                         split.coord_sup, split.tolerance))
-    checks.append(_check("geodesic_split_basis", 17, split.basis_sup,
-                         split.tolerance))
-    rows = [{"check": c["name"], "max_deviation": c["max_deviation"],
-             "tolerance": c["tolerance"]} for c in checks]
-    return checks, rows
+    checks = [
+        _check("cauchy_riemann", kn.cauchy_riemann_residual(h, pts[:, 0], pts[:, 2]), 1e-8),
+        _check("metric_consistency", kn.kn_metric_consistency(spec, pts), 1e-10),
+        _check("einstein_eta", np.abs(rep.einstein_eta - eta), tol),
+        _check("ricci_scalar", np.abs(rep.ricci_scalar - spec.dim * eta), tol),
+        _check("christoffel_correspondence", kn.kn_christoffel_correspondence(spec, pts), 1e-8),
+        _check("geodesic_split_coords", split.coords, split.tolerance),
+        _check("geodesic_split_basis", split.basis, split.tolerance),
+    ]
+    table = {"check": [c["name"] for c in checks],
+             "max_deviation": [c["max_deviation"] for c in checks],
+             "tolerance": [c["tolerance"] for c in checks]}
+    return checks, table
 
 
 RUNNERS = {
@@ -398,26 +388,19 @@ def _emit(report: dict, pretty: bool) -> None:
         sys.stderr.write("\n".join(lines) + "\n")
 
 
-def _write_csv(path: str, rows: list[dict]) -> None:
-    if not rows:
-        return
-    fields: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in fields:
-                fields.append(key)
+def _write_csv(path: str, table: dict) -> None:
+    """One column per table entry, one row per sample."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _csv_cell(v) for k, v in row.items()})
+        writer = csv.writer(fh)
+        writer.writerow(table)
+        writer.writerows(zip(*([_csv_cell(v) for v in column] for column in table.values())))
 
 
 def _csv_cell(v):
-    if isinstance(v, (np.complexfloating, complex)):
-        return f"{np.real(v)!r}+{np.imag(v)!r}j"
-    if isinstance(v, (np.floating, np.integer)):
-        return repr(v.item())
+    if isinstance(v, np.generic):
+        v = v.item()
+    if isinstance(v, complex):
+        return f"{v.real!r}+{v.imag!r}j"
     return v
 
 
@@ -526,10 +509,10 @@ def main(argv: list[str] | None = None) -> int:
             return run_verify_all(args.scenario, args.pretty)
         scenario = _scenario_from_args(args)
         started = time.time()
-        checks, rows = RUNNERS[args.command](scenario)
+        checks, table = RUNNERS[args.command](scenario)
         report = build_report(args.command, scenario, checks, started)
         if args.csv:
-            _write_csv(args.csv, rows)
+            _write_csv(args.csv, table)
         _emit(report, args.pretty)
         return 0 if report["pass"] else 1
     except ParseError as exc:

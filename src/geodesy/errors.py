@@ -85,9 +85,5 @@ class NegativeRadicandError(GeodesyError):
     pass
 
 
-class RiccatiResidualTooLargeError(GeodesyError):
-    pass
-
-
 class PathLeavesSupportError(GeodesyError):
     pass

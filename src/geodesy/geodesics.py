@@ -427,6 +427,9 @@ def solve_from_inside(rhs, x0, y0, support, margin, tol: float, max_step: float)
     (see :func:`_run`); a merge left with a single node raises
     StartOnSingularSetError.
     """
+    a, b = support
+    if not (a <= x0 <= b and a < b):
+        raise ValueError("support must be an interval containing x0")
     runs = []
     stopped = False
     for target in support:
@@ -480,8 +483,6 @@ def integrate_explicit(spec: GeometrySpec, x0, value0, slope0, support=None,
         raise ValueError("real-family explicit integration needs a support interval")
     a, b = float(support[0]), float(support[1])
     x0 = float(x0)
-    if not (a <= x0 <= b and a < b):
-        raise ValueError("support must be an interval containing x0")
     start_violation = domain_violation(spec, (x0, value0), BOUNDARY_GUARD)
     if start_violation is not None:
         raise StartOnSingularSetError(

@@ -45,7 +45,6 @@ from .errors import (
     OutsideSupportError,
     PathLeavesSupportError,
     ResidualTooLargeError,
-    RiccatiResidualTooLargeError,
     StartOnSingularSetError,
     StepSizeUnderflowError,
     ZeroCrossingOfUError,
@@ -497,7 +496,8 @@ def invert_to_geodesic(source) -> ExplicitGeodesic:
     inversion formulas. The recovered curve is sampled at INVERSION_REFINE
     points inside every interval between the source's nodes. Along a path
     it is joined from one piece per path segment, so that the jump of the
-    path velocity at a vertex is not smeared.
+    path velocity at a vertex is not smeared, and the slope curve takes its
+    derivative from the Riccati equation.
     """
     if isinstance(source, SolutionBasis):
         pair = source.theta
@@ -530,6 +530,11 @@ def invert_to_geodesic(source) -> ExplicitGeodesic:
     if g0.path is None:
         curve = CurveDense(grid, [vals, slopes])
         return ExplicitGeodesic(spec, g0.base, g0.termination, curve)
+    # value'' = ((sign top*bot)''/2 - value'^2) / value, with Theta'' = -2 Theta Theta' - h'
+    dh = eval_jet2(spec.h, g0.point(grid)).d1
+    d2top, d2bot = (-2 * th * dth - dh for th, dth in ((top, dtop), (bot, dbot)))
+    d2prods = sign * (d2top * bot + 2 * dtop * dbot + top * d2bot)
+    seconds = (d2prods / 2 - slopes ** 2) / vals
     # each segment run of the source starts and ends on its path break, so
     # the breaks inside the support are grid points: the joins
     lo, hi = g0.support
@@ -539,9 +544,9 @@ def invert_to_geodesic(source) -> ExplicitGeodesic:
     for start, stop in zip(ends, ends[1:]):
         part = slice(start, stop + 1)
         ts = grid[part]
-        dvals = slopes[part] * _velocity_inside(g0.path, ts)
-        value_pieces.append(CurveDense(ts, [vals[part], dvals]))
-        slope_pieces.append(CurveDense(ts, [slopes[part], np.gradient(slopes[part], ts)]))
+        velocity = _velocity_inside(g0.path, ts)
+        value_pieces.append(CurveDense(ts, [vals[part], slopes[part] * velocity]))
+        slope_pieces.append(CurveDense(ts, [slopes[part], seconds[part] * velocity]))
     return ExplicitGeodesic(spec, g0.base, g0.termination, CurveDense.joined(value_pieces),
                             g0.path, CurveDense.joined(slope_pieces))
 
@@ -577,31 +582,26 @@ def integrate_riccati(h: Expression, theta0, x0: float, support,
 
 @dataclass(frozen=True)
 class RiccatiGeodesicReport:
-    riccati_sup: float
-    geodesic_sup: float
+    riccati: np.ndarray  # |Theta' + Theta^2 + h| at 257 points spanning the support
+    geodesic: np.ndarray  # |explicit-equation residual| of the induced curve there
     tolerance: float
     sign: complex  # the factor mapping Theta to the induced geodesic value
-
-    @property
-    def passes(self) -> bool:
-        return self.geodesic_sup <= self.tolerance
 
 
 def riccati_solution_is_geodesic(spec: GeometrySpec, theta,
                                  sign_mode: str = "real",
                                  tol: float = 1e-6) -> RiccatiGeodesicReport:
-    """Check that a Riccati solution is itself an explicit-form geodesic.
+    """The deviations of a Riccati solution from the Riccati equation and of
+    its induced curve from the explicit-form geodesic equation.
 
     real mode (ads): the induced curve is Psi = +-Theta, whichever is
     positive. imaginary mode (complex sphere): X = -i Theta (equivalently
-    +i Theta; the explicit equation is odd in X).
+    +i Theta; the explicit equation is odd in X). Neither deviation is
+    judged here; ``tol`` is carried as the report's tolerance.
     """
     lo, hi = theta.support
     grid = np.linspace(lo, hi, 257)
-    ric = np.max(np.abs(riccati_residual(spec.h, theta, grid)))
-    if not ric <= tol:  # a NaN residual fails too
-        raise RiccatiResidualTooLargeError(
-            f"Riccati residual {ric:.3e} exceeds {tol:.0e}")
+    ric = np.abs(riccati_residual(spec.h, theta, grid))
     if sign_mode == "real":
         if spec.dim != 2 or spec.facts.sign > 0:
             raise ValueError("real mode checks the ads explicit equation")
@@ -617,7 +617,7 @@ def riccati_solution_is_geodesic(spec: GeometrySpec, theta,
     with np.errstate(divide="ignore", invalid="ignore"):
         devs = np.abs(factor * theta.d2(grid) - explicit_second(
             spec, grid, factor * theta.value(grid), factor * theta.d1(grid)))
-    return RiccatiGeodesicReport(float(ric), float(np.max(devs)), tol, factor)
+    return RiccatiGeodesicReport(ric, devs, tol, factor)
 
 
 # --- path independence -----------------------------------------------------------

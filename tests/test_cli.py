@@ -93,6 +93,35 @@ def test_csv_export(tmp_path, capsys):
     assert {"param", "u_re", "u_im", "ode_residual"} <= set(rows[0])
 
 
+def test_the_geodesic_table_has_a_termination_column(tmp_path, capsys):
+    path = tmp_path / "table.csv"
+    code, *_ = run_cli(capsys, "geodesic", "--family", "hyperbolic", "--h", "x",
+                       "--set", "coords=0,2", "--set", "velocity=1,0.3",
+                       "--set", "span=0,1", "--csv", str(path))
+    assert code == 0
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == cli.GRID_POINTS
+    assert list(rows[0]) == ["s", "x", "Phi", "dx", "dPhi", "termination"]
+    # every row is a sample, each with the run's termination
+    assert all(float(row["s"]) >= 0 for row in rows)
+    assert {row["termination"] for row in rows} == {"range_end"}
+
+
+def test_a_check_reduces_its_deviations_once_and_fails_on_a_nan():
+    """The samples are the last axis; np.max over every entry keeps a NaN."""
+    deviations = np.random.default_rng(4).random((3, 9)) * 1e-7
+    check = cli._check("probe", deviations, 1e-6)
+    assert check["points"] == 9 and check["pass"] is True
+    assert check["max_deviation"] == np.max(deviations)
+    for k, n in ((0, 0), (1, 4), (2, 8)):
+        bad = deviations.copy()
+        bad[k, n] = np.nan
+        check = cli._check("probe", bad, 1e-6)
+        assert math.isnan(check["max_deviation"]) and check["pass"] is False
+        assert check["points"] == 9
+
+
 def test_geodesic_command_kn(capsys):
     code, out, _ = run_cli(capsys, "geodesic", "--family", "kn",
                            "--h", "z^2+1",
@@ -125,6 +154,30 @@ def test_riccati_through_the_ads_boundary_fails_closed_without_warnings(capsys):
     assert checks["riccati_residual"]["pass"] is True
     assert checks["induced_geodesic_residual"]["max_deviation"] == "nan"
     assert checks["induced_geodesic_residual"]["pass"] is False
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_riccati_residual_fails_as_a_check(capsys):
+    """Theta = -2 tan 2x has a pole at pi/4: the run ends near it, where the
+    dense output misses the Riccati equation. The residual is reported and
+    fails its check (exit 1), not raised as invalid input."""
+    code, out, err = run_cli(capsys, "riccati", "--h", "4", "--set", "theta0=0",
+                             "--set", "span=0,0.8")
+    assert code == 1 and err == ""
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["riccati_residual"]["points"] == 257
+    assert checks["riccati_residual"]["max_deviation"] > 1e-2
+    assert checks["riccati_residual"]["pass"] is False
+    assert checks["induced_geodesic_residual"]["max_deviation"] == "nan"
+    assert checks["induced_geodesic_residual"]["pass"] is False
+
+
+def test_a_riccati_start_outside_its_span_names_the_fault(capsys):
+    code, out, _ = run_cli(capsys, "riccati", "--h", "1", "--set", "theta0=0",
+                           "--set", "span=0,1", "--set", "x0=2")
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "ValueError", "message": "support must be an interval containing x0"}
 
 
 def test_scenario_file_round_trip(tmp_path, capsys):
