@@ -205,11 +205,11 @@ def _solve_geodesic(scenario: Scenario, spec: GeometrySpec):
             dfn=lambda x: 0.0, d2fn=lambda x: 0.0)
         return g, False
     max_step = scenario.get("max_step")
-    cap = scenario.floatval("value_cap", 1e6)
+    cap = scenario.get("value_cap")
     number = _complex_scalar if spec.is_complex_chart else float
     value0 = number(scenario.require("value0"))
     slope0 = number(scenario.get("slope0", "0"))
-    options = {"tol": 1e-12, "value_cap": cap,
+    options = {"tol": 1e-12, "value_cap": float(cap) if cap else None,
                "max_step": float(max_step) if max_step else None}
     if spec.is_complex_chart:
         path = ComplexPath.from_text(scenario.require("path"))
@@ -262,6 +262,8 @@ def run_solve(scenario: Scenario) -> tuple[list[dict], dict]:
         table[f"{name}_re"] = np.real(val)
         table[f"{name}_im"] = np.imag(val)
     table["ode_residual"] = residual
+    # domain_boundary: the chart ended on the stop margin, inside the requested span
+    table["termination"] = [g.termination.value] * len(grid)
     return checks, table
 
 
@@ -399,9 +401,8 @@ def _write_csv(path: str, table: dict) -> None:
 def _csv_cell(v):
     if isinstance(v, np.generic):
         v = v.item()
-    if isinstance(v, complex):
-        return f"{v.real!r}+{v.imag!r}j"
-    return v
+    # repr writes a complex as "(a-bj)", which complex() and np.loadtxt read back exactly
+    return repr(v) if isinstance(v, complex) else v
 
 
 # --- verify-all --------------------------------------------------------------------

@@ -11,8 +11,8 @@ Explicit form eliminates the affine parameter: a geodesic becomes a function
 of the first chart coordinate (Phi(x), Psi(x)) or, for the complex family, a
 function X tracked along a user-supplied path in the z-plane with a real
 parameter. Every run ends on its last node inside one stop margin (the
-open-domain boundaries and an escape cap); conversions stop at turning points
-of the first coordinate.
+open-domain boundaries and the onset of escape); conversions stop at turning
+points of the first coordinate.
 """
 
 from __future__ import annotations
@@ -140,13 +140,18 @@ def _stop_margin(spec: GeometrySpec, pair, start, cap: float | None):
 
     ``pair(param, y)`` maps a solver state to the chart pair (t, v). The
     margin is the smallest of v and of den signed by its side at ``start =
-    (param, y)``, each less ``BOUNDARY_GUARD``, and, with a ``cap``, of
-    cap - max|y|: explicit-form geodesics reach infinity at finite x where a
-    reconstructed solution vanishes. A signed den turns negative where the run
-    crosses the singular set (|den| could dip and come back). The complex sets
-    have real codimension two, so complex charts take |v| and |den| instead.
-    den comes first in each min: it is NaN wherever v or h is, and min keeps
-    a NaN that comes first.
+    (param, y)``, each less ``BOUNDARY_GUARD``, and of an escape term:
+    explicit-form geodesics reach infinity at finite x where a reconstructed
+    solution vanishes, and the Theta pair is ill-conditioned on the way there.
+    A number ``cap`` gives the absolute term cap - max|y| (affine runs pass
+    inf). With no cap, the term is the onset of escape of an explicit state
+    y = (v, v'), 10 (1 + |v| + sqrt|h|) - |v'|; it reads h right after
+    ``den_at`` has evaluated it at the same t, from the memo of
+    :func:`eval_jet2`. A signed den turns negative where the run crosses the
+    singular set (|den| could dip and come back). The complex sets have real
+    codimension two, so complex charts take |v| and |den| instead. den comes
+    first in each min: it is NaN wherever v or h is, and min keeps a NaN that
+    comes first.
     """
     t0, v0 = pair(*start)
     if isinstance(v0, complex):
@@ -159,8 +164,11 @@ def _stop_margin(spec: GeometrySpec, pair, start, cap: float | None):
             return min(side * den_at(spec, t, v), v)
 
     def margin(p, y):
-        m = inside(*pair(p, y)) - BOUNDARY_GUARD
-        return m if cap is None else min(m, cap - max(abs(c) for c in y))
+        t, v = pair(p, y)
+        m = inside(t, v) - BOUNDARY_GUARD
+        if cap is not None:
+            return min(m, cap - max(abs(c) for c in y))
+        return min(m, 10 * (1 + abs(v) + abs(eval_jet2(spec.h, t).value) ** 0.5) - abs(y[1]))
     return margin
 
 
@@ -264,7 +272,7 @@ def integrate_geodesic(spec: GeometrySpec, initial: GeodesicState, s_span,
     # the chart's numbers: a real start on the complex chart is complex too,
     # or the solver would drop the imaginary part of every step
     y0 = np.array([*initial.coords, *initial.velocity], dtype=spec.scalar)
-    margin = _stop_margin(spec, lambda _s, y: chart_pair(spec, y[:n]), (s0, y0), None)
+    margin = _stop_margin(spec, lambda _s, y: chart_pair(spec, y[:n]), (s0, y0), np.inf)
     ss, ys, exit_step = _run(_affine_rhs(spec), (s0, s1), y0, margin, tol, np.inf)
     if exit_step is not None:
         from scipy.optimize import brentq
@@ -451,7 +459,7 @@ def solve_from_inside(rhs, x0, y0, support, margin, tol: float, max_step: float)
 
 def integrate_explicit(spec: GeometrySpec, x0, value0, slope0, support=None,
                        tol: float = 1e-10, path: ComplexPath | None = None,
-                       value_cap: float = 1e6,
+                       value_cap: float | None = None,
                        max_step: float | None = None) -> ExplicitGeodesic:
     """Integrate the explicit-form geodesic equation.
 
@@ -465,10 +473,14 @@ def integrate_explicit(spec: GeometrySpec, x0, value0, slope0, support=None,
     cost. A complex run keeps numpy's complex128 numbers: Python's complex
     multiply and divide round differently from numpy's.
 
-    A run that leaves the stop margin (near v = 0 or the singular set, or
-    where |value| or |slope| reaches ``value_cap``) ends on its last node
-    inside, with DOMAIN_BOUNDARY. Explicit geodesics blow up at finite x exactly
-    where a reconstructed solution vanishes, so the cap is a chart boundary.
+    A run that leaves the stop margin ends on its last node inside, with
+    DOMAIN_BOUNDARY. The margin holds it off v = 0 and the singular set, and
+    off the escape: explicit geodesics blow up at finite x exactly where a
+    reconstructed solution vanishes. By default a run ends at the onset of
+    escape, where |slope| exceeds 10 (1 + |value| + sqrt|h|) (moduli on the
+    complex chart), before the Theta pair turns ill-conditioned. A
+    ``value_cap`` replaces that term with an absolute rule: the run ends where
+    |value| or |slope| reaches the cap.
     """
     if spec.dim != 2:
         raise ValueError("use the complex chart for the 4D family")

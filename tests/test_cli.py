@@ -108,6 +108,41 @@ def test_the_geodesic_table_has_a_termination_column(tmp_path, capsys):
     assert {row["termination"] for row in rows} == {"range_end"}
 
 
+def test_complex_csv_cells_parse_back_bit_for_bit(tmp_path, capsys):
+    """Every complex cell reads back through complex(), also with a negative
+    imaginary part, and gives the table's own number."""
+    path = tmp_path / "table.csv"
+    code, *_ = run_cli(capsys, "curvature", "--family", "complex", "--h", "z^2+1",
+                       "--set", "points=20", "--csv", str(path))
+    assert code == 0
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    _, table = cli.run_curvature(cli.Scenario({"family": "complex", "h": "z^2+1",
+                                               "points": "20"}))
+    assert list(rows[0]) == list(table) and len(rows) == 20
+    negative = 0
+    for name, column in table.items():
+        cells = np.array([complex(row[name]) for row in rows])
+        assert cells.tobytes() == np.asarray(column, dtype=complex).tobytes(), name
+        negative += int(np.sum(cells.imag < 0))
+    assert negative > 0
+
+
+def test_the_solve_table_has_a_termination_column(tmp_path, capsys):
+    """An Airy chart ends at the onset of escape, inside the requested span,
+    and the table says so on every row."""
+    path = tmp_path / "table.csv"
+    code, *_ = run_cli(capsys, "solve", "--family", "hyperbolic", "--h", "x",
+                       "--set", "value0=2", "--set", "slope0=0.3",
+                       "--set", "span=-0.5,1.5", "--csv", str(path))
+    assert code == 0
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == cli.GRID_POINTS and list(rows[0])[-1] == "termination"
+    assert {row["termination"] for row in rows} == {"domain_boundary"}
+    assert float(rows[-1]["param"]) < 1.5
+
+
 def test_a_check_reduces_its_deviations_once_and_fails_on_a_nan():
     """The samples are the last axis; np.max over every entry keeps a NaN."""
     deviations = np.random.default_rng(4).random((3, 9)) * 1e-7

@@ -180,6 +180,43 @@ def test_explicit_airy_blowup_location_matches_u_zero_oracle(airy_geodesic):
     assert g.support[1] == pytest.approx(0.46012344, abs=5e-4)
 
 
+def test_an_explicit_run_ends_at_the_onset_of_escape(airy_geodesic):
+    """Without a value_cap the Airy geodesic ends before its blow-up at
+    0.46012344, where |slope| outgrows 10 (1 + |value| + sqrt|h|), and the
+    basis solves u'' + h u = 0 over the whole chart; run on to the escape,
+    the vanishing solution's residual is 2.4e-6 at the chart end."""
+    spec, _ = airy_geodesic
+    g = integrate_explicit(spec, 0.0, 2.0, 0.3, support=(-0.5, 1.5), tol=1e-12)
+    assert g.termination is Termination.DOMAIN_BOUNDARY
+    lo, hi = g.support
+    assert lo == -0.5 and hi < 0.46012344
+    xs = np.linspace(lo, hi, 101)
+    u, _, d2 = rc.reconstruct_basis(spec, g).jets(xs).combination(1, 0)
+    assert np.max(np.abs(d2 + xs * u)) <= 1e-6
+
+
+@pytest.mark.parametrize("case", ["ads h=1", "hyperbolic h=-1", "complex z path"])
+def test_runs_that_do_not_escape_keep_their_nodes_bit_for_bit(case):
+    """The escape term only ends runs: where it never binds, the default stop
+    gives the nodes and states of a run with no outer term at all."""
+    if case == "complex z path":
+        spec = make_spec("complex", "z")
+        args = (0, 1.5j, 0.2)
+        kw = {"path": ComplexPath.polyline([0, 0.4 + 0.1j, 0.8 + 0.7j])}
+    else:
+        family, h, support = (("ads", "1", (0, 2 * np.pi)) if case == "ads h=1"
+                              else ("hyperbolic", "-1", (0, 2)))
+        spec = make_spec(family, h)
+        args, kw = (0.0, 1.0, 0.0), {"support": support}
+    default = integrate_explicit(spec, *args, tol=1e-12, **kw)
+    uncapped = integrate_explicit(spec, *args, tol=1e-12, value_cap=np.inf, **kw)
+    assert default.termination is uncapped.termination is Termination.RANGE_END
+    nodes = default.nodes
+    assert np.array_equal(nodes, uncapped.nodes)
+    for state in ("value", "slope", "second"):
+        assert np.array_equal(getattr(default, state)(nodes), getattr(uncapped, state)(nodes))
+
+
 def test_explicit_residual_is_small_on_geodesics(airy_geodesic):
     spec, g = airy_geodesic
     lo, hi = g.support

@@ -2,10 +2,12 @@
 
 The pool and the benchmark run chosen data; this sweep draws it. The draw is
 a pure function of the seed, and the families take turns, so a shorter draw
-is the start of a longer one. The tier-1 test asserts only what must hold on
+is the start of a longer one. The tier-1 test asserts what must hold on
 every draw: no case raises anything but a GeodesyError, none warns (pytest
 turns a RuntimeWarning into an error), and every complex draw passes its
-inversion round trip. The other verdicts are reported, not asserted.
+inversion round trip. It also asserts that every hyperbolic draw of its seed
+verifies: each of those charts ends at the onset of escape, before the Theta
+pair turns ill-conditioned. The other verdicts are reported, not asserted.
 
     python tests/test_sweep.py SEED COUNT
 
@@ -69,6 +71,8 @@ def test_a_seeded_sweep_raises_only_geodesy_errors_and_round_trips_complex_draws
         outcome, names = verdict(case)
         if case["family"] == "complex":
             assert outcome != "raised" and "inversion_round_trip" not in names, case
+        if case["family"] == "hyperbolic":
+            assert outcome == "verified", (case, names)
 
 
 def table(seed: int, count: int) -> str:
