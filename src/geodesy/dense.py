@@ -100,10 +100,14 @@ class CurveDense:
 
         The points of [a, b] are a + k (b - a)/(per_interval + 1), which is
         what ``np.linspace(a, b, per_interval + 2)`` computes before its end.
+        In an interval a few ulps wide (a rounding-remainder last step) they
+        round onto each other or onto b; those collapsed points are dropped,
+        so the grid stays strictly increasing.
         """
         a, b = self.nodes[:-1, None], self.nodes[1:, None]
         inner = np.arange(per_interval + 1) * ((b - a) / (per_interval + 1)) + a
-        return np.concatenate([inner.ravel(), self.nodes[-1:]])
+        grid = np.concatenate([inner.ravel(), self.nodes[-1:]])
+        return grid[np.append(grid[:-1] < grid[1:], True)]
 
 
 def _bernstein_coefficients(nodes: np.ndarray, derivatives) -> np.ndarray:

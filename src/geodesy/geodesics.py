@@ -1,11 +1,18 @@
 """Geodesic integration: affine-parameter form and explicit form.
 
-Affine form solves d2q^i/ds2 + Gamma^i_jk dq^j/ds dq^k/ds = 0 with an
-embedded adaptive Runge-Kutta 5(4) scheme, stepped one step at a time.
-The solver steps each chart in its own numbers: complex on the complex chart,
-where it measures a component's error by its modulus. Its dense output is one
-Hermite curve per coordinate through the coordinate, the velocity and the
-closed-form Christoffel acceleration at every node.
+Every run, affine, explicit, along a path or of the Riccati equation, is
+stepped by one Dormand-Prince 5(4) loop, :func:`_run`. It gives the nodes of
+scipy's ``RK45`` bit for bit without scipy's solver objects: the same
+tableau, initial step, step-size controller and interpolant of the step that
+leaves. The sums over stages and the dot product under the error norm stay
+the numpy calls scipy makes, because Python's sequential sums round
+differently; everything elementwise on a real state runs in Python floats.
+The loop steps each chart in its own numbers: complex on the complex chart,
+where it measures a component's error by its modulus.
+
+Affine form solves d2q^i/ds2 + Gamma^i_jk dq^j/ds dq^k/ds = 0. Its dense
+output is one Hermite curve per coordinate through the coordinate, the
+velocity and the closed-form Christoffel acceleration at every node.
 
 Explicit form eliminates the affine parameter: a geodesic becomes a function
 of the first chart coordinate (Phi(x), Psi(x)) or, for the complex family, a
@@ -18,6 +25,8 @@ points of the first coordinate.
 from __future__ import annotations
 
 import enum
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +66,9 @@ class Termination(enum.Enum):
 
 
 def _complex_out(value, s):
-    return complex(value) if np.ndim(s) == 0 else np.asarray(value, dtype=complex)
+    if isinstance(s, float) or np.ndim(s) == 0:  # the first test is the cheap one
+        return complex(value)
+    return np.asarray(value, dtype=complex)
 
 
 # --- complex paths -------------------------------------------------------------
@@ -89,12 +100,19 @@ class ComplexPath:
         starts = np.array(verts[:-1])
         chords = np.diff(verts)
         widths = np.diff(breaks)
+        inner = breaks[1:-1]
+        inner_list = inner.tolist()
+        # each segment's numpy scalars, which the array formula indexes
+        constants = list(zip(starts, breaks, widths, chords))
 
         def segment(s):
             # a vertex belongs to the segment that starts there
-            return np.searchsorted(breaks[1:-1], s, side="right")
+            return np.searchsorted(inner, s, side="right")
 
         def point(s):
+            if isinstance(s, float):  # the solver's case: bisect, no array calls
+                start, left, width, chord = constants[bisect_right(inner_list, s)]
+                return start + (s - left) / width * chord
             i = segment(s)
             return starts[i] + (s - breaks[i]) / widths[i] * chords[i]
 
@@ -172,29 +190,164 @@ def _stop_margin(spec: GeometrySpec, pair, start, cap: float | None):
     return margin
 
 
+@dataclass(frozen=True)
+class SolverStats:
+    """What the stepping loop did over one or more runs: its right-hand-side
+    calls and its rejected step attempts."""
+
+    rhs_calls: int
+    rejected_steps: int
+
+    def __add__(self, other: "SolverStats") -> "SolverStats":
+        return SolverStats(self.rhs_calls + other.rhs_calls,
+                           self.rejected_steps + other.rejected_steps)
+
+
+class _StepInterpolant:
+    """The interpolant of the step from ``t_old`` to ``t`` at one parameter:
+    y_old + h Q (x, x^2, x^3, x^4) with x = (param - t_old)/h and Q = K^T P,
+    as scipy's ``RkDenseOutput`` computes it."""
+
+    def __init__(self, t_old: float, t: float, y_old, Q: np.ndarray):
+        self.t_old, self.t, self.h = t_old, t, t - t_old
+        self.y_old, self.Q = np.asarray(y_old), Q
+
+    def __call__(self, param) -> np.ndarray:
+        x = (np.asarray(param) - self.t_old) / self.h
+        y = self.h * np.dot(self.Q, np.cumprod(np.tile(x, self.Q.shape[1])))
+        y += self.y_old
+        return y
+
+
+#: the step-size controller's safety factor and its bounds on the step ratio
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
+
+
+def _rms(x: np.ndarray) -> float:
+    return float(np.linalg.norm(x)) / x.size ** 0.5
+
+
+def _initial_step(rhs, t0: float, y0: np.ndarray, f0: np.ndarray, t_bound: float,
+                  max_step: float, rtol: float, atol: float) -> float:
+    """The first step size for an error estimator of order 4, by the rule of
+    Hairer, Norsett and Wanner (Solving ODEs I, II.4) as scipy 1.17.1 clamps
+    it: two RHS-based scales of the step, the second from one trial Euler
+    step, neither longer than the span or ``max_step``."""
+    interval = abs(t_bound - t0)
+    direction = 1.0 if t_bound > t0 else -1.0
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    y1 = y0 + h0 * direction * f0
+    f1 = np.asarray(rhs(t0 + h0 * direction, y1 if np.iscomplexobj(y1) else y1.tolist()))
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval, max_step)
+
+
 def _run(rhs, span, y0, margin, tol: float, max_step: float):
-    """Step RK45 over ``span``, ending on the last node whose margin is positive.
+    """Step Dormand-Prince 5(4) over ``span``, ending on the last node whose
+    margin is positive.
+
+    The nodes and states are scipy 1.17.1's ``RK45`` with rtol = tol and
+    atol = tol/100, bit for bit, without its ``OdeSolver`` wrappers: the
+    tableau (read from ``RK45``), the initial-step rule, the step-size
+    controller and the interpolant of the step that leaves. Every reduction is
+    the numpy call scipy makes on the same stage array K: the five stage
+    sums, the B and E sums and the dot product under the RMS error norm.
+    numpy's sums round differently from sequential Python sums, so these
+    calls stay. Everything elementwise on a real state runs in Python floats,
+    which round as float64 does: a real state is a list, and ``rhs(t, y)``
+    takes and returns a list. A complex state stays a numpy array, with
+    numpy's complex arithmetic, which Python's complex numbers do not
+    reproduce.
 
     A NaN margin stops the run too; a start whose margin is not positive
     raises StartOnSingularSetError. Returns the nodes, the states (one row per
-    component) and the interpolant of the step that left (None if the run
-    reached the end of the span).
+    component), the interpolant of the step that left (None if the run
+    reached the end of the span) and the run's :class:`SolverStats`.
     """
-    from scipy.integrate import RK45  # imported here: importing geodesy loads no scipy
-    if not margin(span[0], y0) > 0:
-        raise StartOnSingularSetError(f"the stop margin at the start {span[0]} is not > 0")
-    solver = RK45(rhs, float(span[0]), y0, float(span[1]), max_step=max_step,
-                  rtol=tol, atol=tol * 1e-2)
-    ts, ys = [solver.t], [solver.y]
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise StepSizeUnderflowError(message)
-        if not margin(solver.t, solver.y) > 0:
-            return np.array(ts), np.vstack(ys).T, solver.dense_output()
-        ts.append(solver.t)
-        ys.append(solver.y)
-    return np.array(ts), np.vstack(ys).T, None
+    from scipy.integrate import RK45  # the tableau only: importing geodesy loads no scipy
+    t, t_bound, max_step, tol = float(span[0]), float(span[1]), float(max_step), float(tol)
+    y = np.asarray(y0)
+    complex_state = np.iscomplexobj(y)
+    y = y.astype(complex) if complex_state else y.astype(float).tolist()
+    if not margin(t, y) > 0:
+        raise StartOnSingularSetError(f"the stop margin at the start {t} is not > 0")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("the initial state must be finite")
+    if not max_step > 0 or t == t_bound:
+        raise ValueError("a run needs a positive max_step and a nonempty span")
+    rtol, atol = max(tol, 100 * np.finfo(float).eps), tol * 1e-2
+    K = np.empty((RK45.n_stages + 1, len(y)), dtype=complex if complex_state else float)
+    stages = [(s, K[:s].T, RK45.A[s, :s], c) for s, c in enumerate(RK45.C.tolist()[1:], 1)]
+    KB, KE, B, E = K[:-1].T, K.T, RK45.B, RK45.E
+    exponent = -1 / (RK45.error_estimator_order + 1)
+    root_n = len(y) ** 0.5
+
+    if complex_state:
+        def advance(y, d, h):
+            return y + d * h
+
+        def error_norm_of(h, y, y_new):
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            return _rms(np.dot(KE, E) * h / scale)
+    else:
+        def advance(y, d, h):
+            return [a + b * h for a, b in zip(y, d.tolist())]
+
+        def error_norm_of(h, y, y_new):
+            # np.linalg.norm of a real vector is sqrt(x.dot(x)). Where a state
+            # is NaN the error is too, so max's NaN rule differs to no effect.
+            x = np.array([e * h / (atol + max(abs(a), abs(b)) * rtol)
+                          for e, a, b in zip(np.dot(KE, E).tolist(), y, y_new)])
+            return math.sqrt(x.dot(x)) / root_n
+
+    K[0] = rhs(t, y)
+    h_abs = _initial_step(rhs, t, np.asarray(y), K[0].copy(), t_bound, max_step, rtol, atol)
+    direction = 1.0 if t_bound > t else -1.0
+    attempts = rejected = 0
+    ts, ys, exit_step = [t], [y], None
+    while exit_step is None and direction * (t - t_bound) < 0:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = min(max(h_abs, min_step), max_step)
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepSizeUnderflowError(
+                    "Required step size is less than spacing between numbers.")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            for s, KT, a, c in stages:
+                K[s] = rhs(t + c * h, advance(y, np.dot(KT, a), h))
+            y_new = advance(y, np.dot(KB, B), h)
+            K[-1] = rhs(t + h, y_new)
+            attempts += 1
+            error_norm = error_norm_of(h, y, y_new)
+            if error_norm < 1:
+                factor = MAX_FACTOR if error_norm == 0 else min(
+                    MAX_FACTOR, SAFETY * error_norm ** exponent)
+                h_abs *= min(1, factor) if step_rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** exponent)
+            step_rejected = True
+            rejected += 1
+        t_old, y_old, t, y = t, y, t_new, y_new
+        if margin(t, y) > 0:
+            K[0] = K[-1]
+            ts.append(t)
+            ys.append(y)
+        else:
+            exit_step = _StepInterpolant(t_old, t, y_old, K.T.dot(RK45.P))
+    # scipy's count: the start, the trial step of the initial-step rule, 6 per attempt
+    return np.array(ts), np.array(ys).T, exit_step, SolverStats(2 + 6 * attempts, rejected)
 
 
 # --- affine-parameter geodesics --------------------------------------------------
@@ -219,6 +372,7 @@ class GeodesicTrajectory:
     velocities: np.ndarray
     accelerations: np.ndarray  # the solver's right-hand side at the nodes
     termination: Termination
+    stats: SolverStats
     _curves: list = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -248,12 +402,13 @@ def accelerations(spec: GeometrySpec, coords, velocities) -> np.ndarray:
 
 
 def _affine_rhs(spec: GeometrySpec):
+    """The solver's right-hand side (v, -Gamma v v); a list of the state's numbers."""
     n = spec.dim
 
     def rhs(_s, y):
-        q, v = y[:n], y[n:]
-        acc = -np.einsum("ijk,j,k->i", christoffel_table(spec, q), v, v)
-        return np.concatenate([v, acc])
+        v = y[n:]
+        acc = -np.einsum("ijk,j,k->i", christoffel_table(spec, y[:n]), v, v)
+        return [*v, *acc.tolist()]
     return rhs
 
 
@@ -273,7 +428,7 @@ def integrate_geodesic(spec: GeometrySpec, initial: GeodesicState, s_span,
     # or the solver would drop the imaginary part of every step
     y0 = np.array([*initial.coords, *initial.velocity], dtype=spec.scalar)
     margin = _stop_margin(spec, lambda _s, y: chart_pair(spec, y[:n]), (s0, y0), np.inf)
-    ss, ys, exit_step = _run(_affine_rhs(spec), (s0, s1), y0, margin, tol, np.inf)
+    ss, ys, exit_step, stats = _run(_affine_rhs(spec), (s0, s1), y0, margin, tol, np.inf)
     if exit_step is not None:
         from scipy.optimize import brentq
         eps = 4 * np.finfo(float).eps
@@ -283,7 +438,7 @@ def integrate_geodesic(spec: GeometrySpec, initial: GeodesicState, s_span,
     termination = Termination.RANGE_END if exit_step is None else Termination.DOMAIN_BOUNDARY
     coords, velocities = ys[:n].T, ys[n:].T
     return GeodesicTrajectory(spec, ss, coords, velocities,
-                              accelerations(spec, coords, velocities), termination)
+                              accelerations(spec, coords, velocities), termination, stats)
 
 
 # --- explicit form ----------------------------------------------------------------
@@ -346,13 +501,13 @@ def explicit_second_and_third(spec: GeometrySpec, point, value, slope):
 
 def _real_explicit_rhs(spec: GeometrySpec):
     """The solver's right-hand side (v', :func:`explicit_second`) of a real
-    family over Python floats. A float division by zero raises where float64
-    gives inf or nan, so such a call is redone over float64."""
+    family, on a list of Python floats. A float division by zero raises where
+    float64 gives inf or nan, so such a call is redone over float64."""
     s, h = spec.facts.sign, spec.h
 
     def rhs(x, y):
-        v, w = y.tolist()
-        hj = eval_jet2(h, float(x))
+        v, w = y
+        hj = eval_jet2(h, x)
         try:
             return [w, _explicit_rhs(s, hj.value, hj.d1, v, w)]
         except ZeroDivisionError:
@@ -376,6 +531,7 @@ class ExplicitGeodesic:
     _values: CurveDense  # over the parameter; joined at path vertices
     path: ComplexPath | None = None
     _zslopes: CurveDense | None = None  # dX/dz dense (complex family only)
+    stats: SolverStats | None = None  # of the runs that made it; None if none did
 
     @property
     def support(self) -> tuple[float, float]:
@@ -430,9 +586,10 @@ class ExplicitGeodesic:
 def solve_from_inside(rhs, x0, y0, support, margin, tol: float, max_step: float):
     """Solve from ``x0`` toward each end of ``support`` and merge the two runs.
 
-    Returns the increasing nodes, the states (one row per component) and
-    whether the margin stopped a run. Each run ends on its last node inside
-    (see :func:`_run`); a merge left with a single node raises
+    Returns the increasing nodes, the states (one row per component),
+    whether the margin stopped a run and the two runs' summed
+    :class:`SolverStats`. Each run ends on its last node inside (see
+    :func:`_run`); a merge left with a single node raises
     StartOnSingularSetError.
     """
     a, b = support
@@ -440,11 +597,13 @@ def solve_from_inside(rhs, x0, y0, support, margin, tol: float, max_step: float)
         raise ValueError("support must be an interval containing x0")
     runs = []
     stopped = False
+    stats = SolverStats(0, 0)
     for target in support:
         if target == x0:
             continue
-        ts, ys, exit_step = _run(rhs, (x0, target), y0, margin, tol, max_step)
+        ts, ys, exit_step, run_stats = _run(rhs, (x0, target), y0, margin, tol, max_step)
         stopped = stopped or exit_step is not None
+        stats += run_stats
         order = np.argsort(ts)
         runs.append((ts[order], ys[:, order]))
     (xs, ys), *rest = runs
@@ -454,7 +613,7 @@ def solve_from_inside(rhs, x0, y0, support, margin, tol: float, max_step: float)
         xs, ys = np.concatenate([xs[:-1], xb]), np.concatenate([ys[:, :-1], yb], axis=1)
     if len(xs) < 2:
         raise StartOnSingularSetError("no progress from the starting point")
-    return xs, ys, stopped
+    return xs, ys, stopped, stats
 
 
 def integrate_explicit(spec: GeometrySpec, x0, value0, slope0, support=None,
@@ -468,10 +627,11 @@ def integrate_explicit(spec: GeometrySpec, x0, value0, slope0, support=None,
     supply ``path`` with path.point(0) == z0; the equation is integrated in
     the real path parameter, the solver stepping the complex state (X, dX/dz).
 
-    A real run's right-hand side computes :func:`explicit_second` over Python
-    floats, which give the same bits as numpy's float64 scalars at a lower
-    cost. A complex run keeps numpy's complex128 numbers: Python's complex
-    multiply and divide round differently from numpy's.
+    A real run's state is a list of Python floats, and its right-hand side
+    computes :func:`explicit_second` over them, which gives the same bits as
+    numpy's float64 scalars at a lower cost. A complex run keeps numpy's
+    complex128 numbers: Python's complex multiply and divide round
+    differently from numpy's.
 
     A run that leaves the stop margin ends on its last node inside, with
     DOMAIN_BOUNDARY. The margin holds it off v = 0 and the singular set, and
@@ -503,14 +663,14 @@ def integrate_explicit(spec: GeometrySpec, x0, value0, slope0, support=None,
         max_step = (b - a) / 64.0
 
     y0 = [float(value0), float(slope0)]
-    # a float x, as in the rhs, so that den_at reuses the h of the step's last stage
-    margin = _stop_margin(spec, lambda x, y: (float(x), y[0]), (x0, y0), value_cap)
-    xs, (vals, slopes), hit_boundary = solve_from_inside(_real_explicit_rhs(spec), x0, y0,
-                                                         (a, b), margin, tol, max_step)
+    # x is the float the rhs got, so den_at reuses the h of the step's last stage
+    margin = _stop_margin(spec, lambda x, y: (x, y[0]), (x0, y0), value_cap)
+    xs, (vals, slopes), hit_boundary, stats = solve_from_inside(
+        _real_explicit_rhs(spec), x0, y0, (a, b), margin, tol, max_step)
     seconds, thirds = explicit_second_and_third(spec, xs, vals, slopes)
     curve = CurveDense(xs, [vals, slopes, seconds, thirds])
     termination = Termination.DOMAIN_BOUNDARY if hit_boundary else Termination.RANGE_END
-    return ExplicitGeodesic(spec, x0, termination, curve)
+    return ExplicitGeodesic(spec, x0, termination, curve, stats=stats)
 
 
 def _integrate_explicit_path(spec, value0, slope0, path, tol, cap, max_step):
@@ -518,6 +678,7 @@ def _integrate_explicit_path(spec, value0, slope0, path, tol, cap, max_step):
     margin = _stop_margin(spec, lambda s, y: (path.point(s), y[0]), (0.0, state), cap)
     pieces_v, pieces_w = [], []
     hit_boundary = False
+    stats = SolverStats(0, 0)
     for s_lo, s_hi in path.segments():
         vel = path.velocity(0.5 * (s_lo + s_hi))
 
@@ -526,7 +687,8 @@ def _integrate_explicit_path(spec, value0, slope0, path, tol, cap, max_step):
             return [W * vel, explicit_second(spec, path.point(s), X, W) * vel]
 
         step = max_step if max_step is not None else (s_hi - s_lo) / 32.0
-        ss, ys, exit_step = _run(rhs, (s_lo, s_hi), state, margin, tol, step)
+        ss, ys, exit_step, run_stats = _run(rhs, (s_lo, s_hi), state, margin, tol, step)
+        stats += run_stats
         Xs, Ws = ys
         if len(ss) >= 2:
             sec, thr = explicit_second_and_third(spec, path.point(ss), Xs, Ws)
@@ -541,7 +703,7 @@ def _integrate_explicit_path(spec, value0, slope0, path, tol, cap, max_step):
     values = CurveDense.joined(pieces_v)
     zslopes = CurveDense.joined(pieces_w)
     termination = Termination.DOMAIN_BOUNDARY if hit_boundary else Termination.RANGE_END
-    return ExplicitGeodesic(spec, path.start, termination, values, path, zslopes)
+    return ExplicitGeodesic(spec, path.start, termination, values, path, zslopes, stats)
 
 
 def _before_turning(vt: np.ndarray) -> int:
@@ -589,7 +751,8 @@ def explicit_from_trajectory(traj: GeodesicTrajectory) -> ExplicitGeodesic:
         xs, vals, slopes, seconds = xs[::-1], vals[::-1], slopes[::-1], seconds[::-1]
     curve = CurveDense(xs, [vals, slopes, seconds])
     termination = Termination.TURNING_POINT if truncated else traj.termination
-    return ExplicitGeodesic(spec, float(traj.coords[0, 0]), termination, curve)
+    return ExplicitGeodesic(spec, float(traj.coords[0, 0]), termination, curve,
+                            stats=traj.stats)
 
 
 def _explicit_along_path(traj: GeodesicTrajectory) -> ExplicitGeodesic:
@@ -607,7 +770,7 @@ def _explicit_along_path(traj: GeodesicTrajectory) -> ExplicitGeodesic:
     zslopes = CurveDense(ss, [vXs / vzs, dWs])
     spec_c = GeometrySpec(Family.COMPLEX_SPHERE, spec.h)
     return ExplicitGeodesic(spec_c, zs[0], termination, values,
-                            ComplexPath(z_curve.value, z_curve.d1), zslopes)
+                            ComplexPath(z_curve.value, z_curve.d1), zslopes, traj.stats)
 
 
 def geodesic_residual(spec: GeometrySpec, g: ExplicitGeodesic, t):

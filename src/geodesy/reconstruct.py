@@ -564,16 +564,19 @@ def integrate_riccati(h: Expression, theta0, x0: float, support,
     ``RICCATI_CAP``.
     """
     a, b = float(support[0]), float(support[1])
-    y0 = np.array([theta0])
-    if h.mode == "complex":
-        y0 = y0.astype(complex)
+    y0 = np.array([theta0], dtype=complex if h.mode == "complex" else None)
+    if np.iscomplexobj(y0):
+        def rhs(x, y):
+            # numpy's complex arithmetic on the array state (see integrate_explicit)
+            return -y * y - eval_jet2(h, x).value
+    else:
+        def rhs(x, y):
+            theta, = y
+            return [-theta * theta - eval_jet2(h, x).value]
 
-    def rhs(x, y):
-        return -y * y - eval_jet2(h, x).value
-
-    xs, (ths,), _ = solve_from_inside(rhs, x0, y0, (a, b),
-                                      lambda _x, y: RICCATI_CAP - abs(y[0]), tol,
-                                      abs(b - a) / 64.0)
+    xs, (ths,), _, _ = solve_from_inside(rhs, x0, y0, (a, b),
+                                         lambda _x, y: RICCATI_CAP - abs(y[0]), tol,
+                                         abs(b - a) / 64.0)
     hj = eval_jet2(h, xs)
     d1 = -ths * ths - hj.value
     d2 = -2 * ths * d1 - hj.d1

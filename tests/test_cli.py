@@ -63,6 +63,22 @@ def test_check_failure_exit_one(capsys):
     assert "ode_residual" in failed
 
 
+def test_a_rounding_remainder_last_step_fails_a_check_instead_of_raising(capsys):
+    """The run over this span ends with a step 3.5e-18 wide (the remainder of
+    64 steps of max_step). The refined grid drops the points that collapse
+    onto its end node, so the inversion builds its curve and the report
+    names the failing checks (the short step spoils the dense output's
+    second derivative there) instead of a bare ValueError."""
+    code, out, _ = run_cli(capsys, "solve", "--family", "hyperbolic", "--h", "4",
+                           "--set", "value0=2.5", "--set", "slope0=0",
+                           "--set", "span=0,0.011909547738693467")
+    assert code == 1
+    report = json.loads(out)
+    assert "error" not in report
+    failed = {c["name"] for c in report["checks"] if not c["pass"]}
+    assert "ode_residual" in failed
+
+
 def test_reports_are_deterministic(capsys):
     argv = ("curvature", "--family", "kn", "--h", "z^2+1",
             "--set", "points=10", "--seed", "7")
@@ -542,15 +558,22 @@ def test_ricci_proportional_is_relative_to_the_metric(capsys, monkeypatch, h, po
     assert [c["name"] for c in json.loads(out)["checks"] if not c["pass"]] == ["ricci_proportional"]
 
 
-def test_curvature_command_loads_no_scipy():
-    """Importing geodesy and running the curvature command of every family
-    leaves scipy unloaded, in a fresh interpreter."""
+def _fresh_interpreter(*args: str):
+    """Run ``python args...`` in a new process that imports this checkout's geodesy."""
     import os
     import subprocess
     import sys
 
     import geodesy
     src = os.path.dirname(os.path.dirname(os.path.abspath(geodesy.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_curvature_command_loads_no_scipy():
+    """Importing geodesy and running the curvature command of every family
+    leaves scipy unloaded, in a fresh interpreter."""
     program = (
         "import json, sys\n"
         "import geodesy\n"
@@ -560,25 +583,38 @@ def test_curvature_command_loads_no_scipy():
         "                      ('complex', 'z^2+1'), ('kn', 'exp(z)')]]\n"
         "print(json.dumps({'codes': codes, 'scipy': sorted(\n"
         "    m for m in sys.modules if m.split('.')[0] == 'scipy')}))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
-                          env=env, timeout=120, check=True)
+    done = _fresh_interpreter("-c", program)
+    assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result == {"codes": [0, 0, 0, 0, 0], "scipy": []}
 
 
+def test_setting_up_the_shipped_solve_scenarios_loads_no_scipy():
+    """Importing geodesy and building a ``cli.Scenario`` of every ``solve``
+    section of the shipped pool, as a benchmark's set-up does before it runs
+    a case, leaves scipy unloaded, in a fresh interpreter: the solver and
+    the dense output import it when they first run."""
+    program = (
+        "import configparser, json, sys\n"
+        "from importlib import resources\n"
+        "import geodesy\n"
+        "from geodesy import cli\n"
+        "pool = configparser.ConfigParser()\n"
+        "pool.read_string((resources.files('geodesy') / 'data' / 'default_pool.cfg').read_text())\n"
+        "built = [cli.Scenario(dict(pool.items(name))) for name in pool.sections()\n"
+        "         if pool.get(name, 'kind') == 'solve']\n"
+        "print(json.dumps({'solve': len(built), 'scipy': sorted(\n"
+        "    m for m in sys.modules if m.split('.')[0] == 'scipy')}))\n")
+    done = _fresh_interpreter("-c", program)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["solve"] > 0 and result["scipy"] == []
+
+
 def test_python_dash_m_runs_the_cli():
     """``python -m geodesy`` starts the same command line as the console script."""
-    import os
-    import subprocess
-    import sys
-
-    import geodesy
-    src = os.path.dirname(os.path.dirname(os.path.abspath(geodesy.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "geodesy", "curvature", "--family", "hyperbolic",
-         "--h", "sin(x)+3"], capture_output=True, text=True, env=env, timeout=120)
+    done = _fresh_interpreter("-m", "geodesy", "curvature", "--family", "hyperbolic",
+                              "--h", "sin(x)+3")
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.splitlines()[-1])
     assert report["command"] == "curvature" and report["pass"]

@@ -66,6 +66,20 @@ def test_refined_equals_the_per_interval_linspace_grid():
         assert np.array_equal(joined.refined(k), expected)
 
 
+def test_refined_drops_the_points_that_collapse_in_an_ulp_wide_interval():
+    """A last interval two ulps wide has no room for 3 points inside: the grid
+    keeps the ones that stay apart, stays strictly increasing and ends on the
+    end node, and every other interval keeps its points."""
+    b = 0.011909547738693467
+    nodes = np.array([0.0, 0.5 * b, np.nextafter(np.nextafter(b, 0), 0), b])
+    rng = np.random.default_rng(5)
+    curve = CurveDense(nodes, _random_derivatives(rng, len(nodes), 2, False))
+    grid = curve.refined(3)
+    assert np.all(np.diff(grid) > 0) and grid[-1] == b
+    assert np.array_equal(grid[:9], _linspace_grid(nodes, 3)[:9])
+    assert len(grid) < len(_linspace_grid(nodes, 3))
+
+
 def _pieces(rng, nodes, cut, orders, is_complex):
     """Pieces over ``nodes`` split at the indices ``cut``; each starts at the
     value the one before ends with, and its derivatives jump there."""

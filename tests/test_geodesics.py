@@ -16,6 +16,7 @@ from geodesy.errors import (
     StartOnSingularSetError,
     TurningPointAtStartError,
 )
+from geodesy.expr import eval_jet2, parse
 from geodesy.geodesics import (
     ComplexPath,
     ExplicitGeodesic,
@@ -300,6 +301,21 @@ def test_polyline_parsing_and_parametrization():
         ComplexPath.polyline([0, 0])
 
 
+def test_a_polyline_point_is_the_same_for_one_parameter_and_for_an_array():
+    """One parameter finds its segment by bisection, an array by searchsorted;
+    both give the same bits, and a vertex belongs to the segment that starts
+    there (the first vertex's point is the vertex itself)."""
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        m = int(rng.integers(2, 7))
+        verts = rng.normal(size=m) + 1j * rng.normal(size=m)
+        path = ComplexPath.polyline(verts)
+        ss = np.concatenate([rng.random(20), path.breaks])
+        assert [repr(path.point(s)) for s in ss.tolist()] == \
+               [repr(complex(z)) for z in path.point(ss)]
+        assert [path.point(b) for b in path.breaks[:-1]] == verts[:-1].tolist()
+
+
 def test_complex_explicit_residual_and_homotopy():
     spec = make_spec("complex", "exp(z)")
     straight = ComplexPath.polyline([0, 1 + 1j])
@@ -390,30 +406,56 @@ def _scipy_events(spec, pair, start, cap):
         events = [lambda p, y: pair(p, y)[1] - guard,
                   lambda p, y: side * den(p, y) - guard]
     events.append(lambda _p, y: cap - max(abs(c) for c in y))
-    for ev in events:
-        ev.terminal = True
-        ev.direction = -1
-    return events
+    return [_as_event(ev) for ev in events]
 
 
-@pytest.mark.parametrize("case", ["hyperbolic escape", "polyline segment"])
-def test_runs_equal_scipy_event_runs_without_their_event_sample(case):
-    """Stepping RK45 and stopping on the first node outside the margin keeps
-    the nodes and states of solve_ivp with the three terminal events, bit for
-    bit, less the event sample that solve_ivp locates on its interpolant."""
-    from scipy.integrate import solve_ivp
-    tol, cap = 1e-12, 1e6
-    if case == "hyperbolic escape":
-        spec = make_spec("hyperbolic", "4")
-        y0 = [1.0, 0.5]
-        spans, max_step = [(0.0, -2 * np.pi), (0.0, 2 * np.pi)], 4 * np.pi / 64
+def _as_event(fn):
+    """``fn`` as a terminal solve_ivp event that fires where it falls to 0."""
+    fn.terminal = True
+    fn.direction = -1
+    return fn
 
-        def pair(x, y):
-            return x, y[0]
+
+def _oracle_case(case, tol):
+    """One run of the oracle test: (rhs, y0, spans, max_step, events, run).
+
+    ``events`` are solve_ivp's terminal events for the run's margin, and
+    ``run(span)`` gives the nodes, the states, the SolverStats, whether the
+    margin stopped the run and whether the nodes end on the event sample. An
+    affine run gives its margin as one event: solve_ivp's root of it on the
+    step that left is the point the run appends."""
+    cap = 1e6
+    if case.startswith("affine"):
+        spec, state = {
+            "affine real": (make_spec("hyperbolic", "1+0*x"),
+                            GeodesicState((0.0, 1.3), (0.0, -0.65))),
+            # on the complex chart the run ends at |v| = the guard
+            "affine complex chart": (make_spec("complex", "1"),
+                                     GeodesicState((0j, 0.3 + 0j), (0j, -3 + 0j))),
+        }[case]
+        n = spec.dim
+        y0 = np.array([*state.coords, *state.velocity], dtype=spec.scalar)
+        margin = gd._stop_margin(spec, lambda _s, y: geometry.chart_pair(spec, y[:n]),
+                                 (0.0, y0), np.inf)
+
+        def run(span):
+            traj = integrate_geodesic(spec, state, span, tol)
+            return (traj.s, np.hstack([traj.coords, traj.velocities]).T, traj.stats,
+                    traj.termination is Termination.DOMAIN_BOUNDARY, True)
+        return (gd._affine_rhs(spec), y0, [(0.0, 5.0)], np.inf,
+                [_as_event(lambda s, y: margin(s, y))], run)
+    if case == "riccati blow-up":
+        # Theta = -2 tan(2x) from 0 passes |Theta| = RICCATI_CAP before pi/4
+        h = parse("4")
+        y0, spans, max_step = [0.0], [(0.0, 0.8)], 0.8 / 64
 
         def rhs(x, y):
-            return [y[1], gd.explicit_second(spec, x, y[0], y[1])]
-    else:
+            return [-y[0] * y[0] - eval_jet2(h, x).value]
+
+        def margin(_x, y):
+            return rc.RICCATI_CAP - abs(y[0])
+        events = [_as_event(lambda x, y: margin(x, y))]
+    elif case == "polyline segment":
         spec = make_spec("complex", "exp(z)")
         path = ComplexPath.polyline([0, 1])
         vel = path.velocity(0.5)
@@ -425,19 +467,69 @@ def test_runs_equal_scipy_event_runs_without_their_event_sample(case):
 
         def rhs(s, y):
             return [y[1] * vel, gd.explicit_second(spec, path.point(s), y[0], y[1]) * vel]
-    margin = gd._stop_margin(spec, pair, (0.0, y0), cap)
-    events = _scipy_events(spec, pair, (0.0, y0), cap)
-    stopped = []
+    else:
+        spec = make_spec("hyperbolic", "4")
+        if case == "hyperbolic escape":
+            y0 = [1.0, 0.5]
+            spans, max_step = [(0.0, -2 * np.pi), (0.0, 2 * np.pi)], 4 * np.pi / 64
+        else:
+            # 64 steps of b/64 end 3.5e-18 short of b: the last is a rounding remainder
+            b = 0.011909547738693467
+            y0 = [2.5, 0.0]
+            spans, max_step = [(0.0, b)], b / 64
+
+        def pair(x, y):
+            return x, y[0]
+
+        def rhs(x, y):
+            return [y[1], gd.explicit_second(spec, x, y[0], y[1])]
+    if case != "riccati blow-up":
+        margin = gd._stop_margin(spec, pair, (0.0, y0), cap)
+        events = _scipy_events(spec, pair, (0.0, y0), cap)
+
+    def run(span):
+        ts, ys, exit_step, stats = gd._run(rhs, span, y0, margin, tol, max_step)
+        return ts, ys, stats, exit_step is not None, False
+    return rhs, y0, spans, max_step, events, run
+
+
+@pytest.mark.parametrize("case", ["hyperbolic escape", "polyline segment", "max_step remainder",
+                                  "riccati blow-up", "affine real", "affine complex chart"])
+def test_runs_equal_scipy_event_runs_without_their_event_sample(case):
+    """The stepper is scipy's RK45, bit for bit: stopping on the first node
+    outside the margin keeps the nodes and states of solve_ivp with the
+    margin's terminal events, less the event sample that solve_ivp locates on
+    its interpolant, and makes as many RHS calls. An affine run keeps that
+    sample too: both find it with the same brentq on the same interpolant.
+    The runs cover real and complex states, both directions, a stop on each
+    margin, a last step that is a rounding remainder of ``max_step`` and a
+    rejected step."""
+    from scipy.integrate import solve_ivp
+    tol = 1e-12
+    rhs, y0, spans, max_step, events, run = _oracle_case(case, tol)
+    stopped, rejected = [], 0
     for span in spans:
         ref = solve_ivp(rhs, span, y0, method="RK45", rtol=tol, atol=tol * 1e-2,
                         events=events, max_step=max_step)
-        ts, ys, exit_step = gd._run(rhs, span, y0, margin, tol, max_step)
-        keep = len(ref.t) - (ref.status == 1)
+        ts, ys, stats, stop, with_sample = run(span)
+        keep = len(ref.t) - (ref.status == 1 and not with_sample)
         assert np.array_equal(ts, ref.t[:keep])
         assert np.array_equal(ys, ref.y[:, :keep])
-        assert (exit_step is not None) == (ref.status == 1)
-        stopped.append(ref.status == 1)
-    assert any(stopped)
+        assert stop == (ref.status == 1)
+        # one call at the start, one for the first step's size, 6 per attempt
+        assert stats.rhs_calls == ref.nfev
+        assert stats.rejected_steps == (ref.nfev - 2) // 6 - (len(ref.t) - 1)
+        stopped.append(stop)
+        rejected += stats.rejected_steps
+    assert any(stopped) == (case != "max_step remainder")
+    if case == "max_step remainder":
+        assert 0 < ts[-1] - ts[-2] < 1e-16
+    if case == "hyperbolic escape":
+        assert rejected > 0
+    if case == "riccati blow-up":
+        theta = rc.integrate_riccati(parse("4"), 0.0, 0.0, (0.0, 0.8))
+        assert np.array_equal(theta.nodes, ts)
+        assert np.array_equal(theta.value(ts), ys[0])
 
 
 def _band_start(run):
@@ -460,6 +552,29 @@ def test_a_start_inside_the_stop_margin_raises(run):
         _band_start(run)
 
 
+def test_geodesics_carry_the_solver_statistics_of_their_runs(monkeypatch):
+    """An explicit geodesic counts the RHS calls of both its runs, and the
+    explicit form of a trajectory keeps the trajectory's counts."""
+    calls = []
+    real_rhs = gd._real_explicit_rhs
+
+    def counting(spec):
+        rhs = real_rhs(spec)
+
+        def counted(x, y):
+            calls.append(x)
+            return rhs(x, y)
+        return counted
+
+    monkeypatch.setattr(gd, "_real_explicit_rhs", counting)
+    spec = make_spec("hyperbolic", "sin(x)+3")
+    g = integrate_explicit(spec, 0.0, 1.2, 0.3, support=(-1, 1))
+    assert g.stats.rhs_calls == len(calls) > 0
+    traj = integrate_geodesic(spec, GeodesicState((0.1, 1.2), (0.7, -0.3)), (0, 1.2))
+    assert traj.stats.rhs_calls > 0
+    assert explicit_from_trajectory(traj).stats == traj.stats
+
+
 def test_a_nan_margin_stops_a_run():
     """u' = -1 from u = 1 with the margin sqrt(u), NaN once u < 0. RK45 never
     accepts a NaN state (its error estimate rejects the step), so a margin read
@@ -469,8 +584,8 @@ def test_a_nan_margin_stops_a_run():
         with np.errstate(invalid="ignore"):
             return np.sqrt(y[0])
 
-    ts, ys, exit_step = gd._run(lambda _t, y: [-1.0], (0.0, 3.0), [1.0], margin,
-                                1e-10, 0.1)
+    ts, ys, exit_step, _ = gd._run(lambda _t, y: [-1.0], (0.0, 3.0), [1.0], margin,
+                                   1e-10, 0.1)
     assert exit_step is not None and exit_step(exit_step.t)[0] < 0
     assert np.all(ys[0] > 0) and ts[-1] < 1.0 < exit_step.t
 
