@@ -11,18 +11,28 @@ structurally through the tree, so derivatives are exact to roundoff.
 sqrt and log take the principal branch at the evaluation point; branch
 continuity along curves is the caller's concern.
 
-There is one evaluator: the tree is compiled once into nested closures, and
-the same closures run on a real number (with math), a complex one (cmath)
-or an ndarray of points (numpy). Each function's derivatives are stated once,
-in ``DERIVATIVES``. One domain rule holds for all three: a log, sqrt or
-power guard that fails, an overflow, division by zero or invalid operation
-in the library, or a value, d1 or d2 that is not finite at any point raises
+There is one evaluator: on its first evaluation, each expression's tree is
+emitted once as straight-line Python source, one kernel function that
+returns (value, d1, d2), and compiled with ``exec``; building an expression
+compiles nothing. Each node's three parts are locals of the kernel, computed
+by exactly the operations of ``Jet2``'s arithmetic and of the chain rule, in
+the same order and with the same constants, so the kernel gives the bits a
+walk over ``Jet2`` nodes gives, at the cost of neither a call nor a jet per
+node (straight-line code instead of operator overloading: Griewank and
+Walther, *Evaluating Derivatives*, 2nd ed., ch. 6). The same kernel runs on
+a real number (with math), a complex one (cmath) or an ndarray of points
+(numpy). Each function's derivatives are stated once, as source, in
+``DERIVATIVES``. One domain rule holds for all three: a log, sqrt or power
+guard that fails, an overflow, division by zero or invalid operation in the
+library, or a value, d1 or d2 that is not finite at any point raises
 DomainError.
 
 ``Jet2`` is a plain slotted class, not a dataclass: the geodesic solver
-builds several per right-hand side call, and a frozen dataclass pays for
+builds one per right-hand side call, and a frozen dataclass pays for
 ``object.__setattr__`` on each field. It has no ``__eq__``, so a jet equals
-no number.
+no number. Its arithmetic serves the callers that differentiate through
+other formulas (the explicit equation's third derivative, the Christoffel
+symbols, metric jets).
 
 Each expression memoises its last scalar evaluation: the solver's stop
 margin and the last stage of a Runge-Kutta step evaluate h where the call
@@ -36,8 +46,8 @@ apart, so a complex point needs both parts nonzero.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
-import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -54,16 +64,16 @@ from .errors import (
 
 Scalar = Union[float, complex]
 
-#: (f', f'') of each function at v, given f0 = f(v), in the library m
-#: (math, cmath or numpy)
+#: (f', f'') of each function at v, given f0 = f(v), as source over the
+#: library m (math, cmath or numpy); every kernel that calls f copies them
 DERIVATIVES = {
-    "exp": lambda m, v, f0: (f0, f0),
-    "log": lambda m, v, f0: (1.0 / v, -1.0 / (v * v)),
-    "sin": lambda m, v, f0: (m.cos(v), -f0),
-    "cos": lambda m, v, f0: (-m.sin(v), -f0),
-    "sinh": lambda m, v, f0: (m.cosh(v), f0),
-    "cosh": lambda m, v, f0: (m.sinh(v), f0),
-    "sqrt": lambda m, v, f0: (0.5 / f0, -0.25 / (f0 * v)),
+    "exp": ("{f0}", "{f0}"),
+    "log": ("1.0 / {v}", "-1.0 / ({v} * {v})"),
+    "sin": ("m.cos({v})", "-{f0}"),
+    "cos": ("-m.sin({v})", "-{f0}"),
+    "sinh": ("m.cosh({v})", "{f0}"),
+    "cosh": ("m.sinh({v})", "{f0}"),
+    "sqrt": ("0.5 / {f0}", "-0.25 / ({f0} * {v})"),
 }
 FUNCTIONS = tuple(DERIVATIVES)
 #: recognized but rejected in complex mode: they break holomorphy
@@ -121,8 +131,9 @@ class Expression:
 
     @cached_property
     def compiled(self):
-        """The tree as one closure f(var, m, is_complex) -> Jet2 (``_compile``)."""
-        return _compile(self.root)
+        """The tree as one function kernel(x, m, is_complex) -> (value, d1,
+        d2), generated on first use (``_kernel``)."""
+        return _kernel(self.root)
 
     def render(self) -> str:
         return _render(self.root, 0)
@@ -352,10 +363,6 @@ class Jet2:
         return f"Jet2(value={self.value!r}, d1={self.d1!r}, d2={self.d2!r})"
 
     @staticmethod
-    def variable(at: Scalar) -> "Jet2":
-        return Jet2(at, 1.0, 0.0)
-
-    @staticmethod
     def constant(c: Scalar) -> "Jet2":
         return Jet2(c, 0.0, 0.0)
 
@@ -404,46 +411,6 @@ class Jet2:
         return self._coerce(other) / self
 
 
-def _compose(f0: Scalar, f1: Scalar, f2: Scalar, g: Jet2) -> Jet2:
-    """Chain rule for f(g) given outer derivatives f0, f1, f2 at g.value."""
-    return Jet2(f0, f1 * g.d1, f2 * g.d1 * g.d1 + f1 * g.d2)
-
-
-def _finite(jet: Jet2) -> bool:
-    """Whether value, d1 and d2 are finite at every point: x * 0 is 0 for a
-    finite x, and nan (numpy: an error) for inf or nan."""
-    return not _any(jet.value * 0 + jet.d1 * 0 + jet.d2 * 0 != 0)
-
-
-def _power(base: Jet2, p: Union[int, float], m, is_complex: bool) -> Jet2:
-    v = base.value
-    if isinstance(p, int):
-        if p == 0:
-            # the only node that drops its operand, so the only one that must
-            # test it: an overflow there would vanish for numbers alone
-            if not _finite(base):
-                raise DomainError("zeroth power of a non-finite base")
-            return Jet2.constant(1.0)
-        if p == 1:
-            return base
-        if p < 0 and _any(v == 0):
-            raise DomainError("zero base with negative exponent")
-        # p >= 2 keeps v**(p-2) finite at v == 0
-        return _compose(v ** p, p * v ** (p - 1), p * (p - 1) * v ** (p - 2), base)
-    if _any(v == 0) or (not is_complex and _any(v < 0)):
-        raise DomainError("negative or zero base with non-integer exponent")
-    f0 = m.exp(p * m.log(v))
-    return _compose(f0, p * f0 / v, p * (p - 1) * f0 / (v * v), base)
-
-
-def _apply_function(name: str, arg: Jet2, m, is_complex: bool) -> Jet2:
-    v = arg.value
-    if name in ("log", "sqrt") and (_any(v == 0) or (not is_complex and _any(v < 0))):
-        raise DomainError(f"{name} at a zero or negative point")
-    f0 = getattr(m, name)(v)
-    return _compose(f0, *DERIVATIVES[name](m, v, f0), arg)
-
-
 def _literal_value(node: Node) -> Union[int, float]:
     if isinstance(node, Literal):
         return node.value
@@ -456,48 +423,124 @@ def _literal_value(node: Node) -> Union[int, float]:
     raise AssertionError("exponent is not a literal")  # pragma: no cover
 
 
-_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+#: the parts of a binary node from its operands' parts a and b: ``Jet2``'s
+#: arithmetic as source; d1 and d2 of a quotient read its own value r0 and d1 r1
+_BINARY = {
+    "+": ("{a0} + {b0}", "{a1} + {b1}", "{a2} + {b2}"),
+    "-": ("{a0} - {b0}", "{a1} - {b1}", "{a2} - {b2}"),
+    "*": ("{a0} * {b0}", "{a1} * {b0} + {a0} * {b1}",
+          "{a2} * {b0} + 2 * {a1} * {b1} + {a0} * {b2}"),
+    "/": ("{a0} / {b0}", "({a1} - {r0} * {b1}) / {b0}",
+          "({a2} - 2 * {r1} * {b1} - {r0} * {b2}) / {b0}"),
+}
+#: (f', f'') of v^p given f0 = v^p, for an int p (q = p - 1, r = p - 2) and
+#: for any other p (q = p - 1)
+_POWERS = {int: ("{p} * {v} ** {q}", "{p} * {q} * {v} ** {r}"),
+           float: ("{p} * {f0} / {v}", "{p} * {q} * {f0} / ({v} * {v})")}
+#: the guard of log, sqrt and a non-integer power at the operand's value v
+_POSITIVE = "_any({v} == 0) or (not is_complex and _any({v} < 0))"
 
 
-def _compile(node: Node):
-    """``node`` as a closure f(var, m, is_complex) -> Jet2, where ``var`` is
-    the jet of the variable and ``m`` the library (math, cmath or numpy)."""
-    if isinstance(node, (Literal, Constant)):
+def _kernel(root: Node):
+    """``root`` as one straight-line function kernel(x, m, is_complex) ->
+    (value, d1, d2), where ``x`` is the point and ``m`` the library (math,
+    cmath or numpy).
+
+    Each node's parts are locals, computed by the operations of ``Jet2``'s
+    arithmetic and of the chain rule, in their order and with their
+    constants; nothing is simplified away, since x * 0.0 and d1 + 0.0 decide
+    signed zeros and NaNs. Literals and constants are the kernel's globals,
+    not source text, so an int stays an int and 1e999 stays inf.
+    """
+    lines, constants, groups = [], [], itertools.count()
+
+    def constant(c) -> str:
+        constants.append(c)
+        return f"k{len(constants) - 1}"
+
+    def assign(*texts, **names) -> tuple:
+        """New locals for ``texts``; r0 and r1 name the first two."""
+        k = next(groups)
+        own = [f"j{k}_{i}" for i in range(len(texts))]
+        names.update(zip(("r0", "r1"), own))
+        lines.extend(f"{part} = {text.format(**names)}" for part, text in zip(own, texts))
+        return tuple(own)
+
+    def guard(test: str, message: str, *args, **names):
+        lines.append(f"if {test.format(*args, **names)}: raise DomainError({message!r})")
+
+    def chain(f0: str, derivatives, g, **names) -> tuple:
+        """The parts of f(g) from f's value f0 (a local) and its (f', f'') at
+        g's value v, as source."""
+        f1, f2 = assign(*derivatives, f0=f0, v=g[0], **names)
+        return (f0, *assign("{f1} * {g1}", "{f2} * {g1} * {g1} + {f1} * {g2}",
+                            f1=f1, f2=f2, g1=g[1], g2=g[2]))
+
+    def emit(node) -> tuple:
+        """Append ``node``'s statements; return its parts as names or literals."""
+        if isinstance(node, Variable):
+            return "x", "1.0", "0.0"
         if isinstance(node, Literal):
-            jet = Jet2.constant(node.value)
-        else:
-            jet = Jet2.constant(1j if node.name == "i" else CONSTANTS[node.name])
-        return lambda var, m, is_complex: jet
-    if isinstance(node, Variable):
-        return lambda var, m, is_complex: var
-    if isinstance(node, Unary):
-        operand = _compile(node.operand)
-        return lambda var, m, is_complex: -operand(var, m, is_complex)
-    if isinstance(node, Call):
-        name, arg = node.func, _compile(node.arg)
-        return lambda var, m, is_complex: _apply_function(
-            name, arg(var, m, is_complex), m, is_complex)
-    left = _compile(node.left)
-    if node.op == "^":
+            return constant(node.value), "0.0", "0.0"
+        if isinstance(node, Constant):
+            return constant(1j if node.name == "i" else CONSTANTS[node.name]), "0.0", "0.0"
+        if isinstance(node, Unary):
+            return assign(*(f"-{part}" for part in emit(node.operand)))
+        if isinstance(node, Call):
+            g = emit(node.arg)
+            if node.func in ("log", "sqrt"):
+                guard(_POSITIVE, f"{node.func} at a zero or negative point", v=g[0])
+            return chain(assign(f"m.{node.func}({{v}})", v=g[0])[0], DERIVATIVES[node.func], g)
+        a = emit(node.left)
+        if node.op != "^":
+            b = emit(node.right)
+            names = dict(zip(("a0", "a1", "a2", "b0", "b1", "b2"), a + b))
+            if node.op == "/":
+                guard("_any({b0} == 0)", "division by zero", **names)
+            return assign(*_BINARY[node.op], **names)
         p = _literal_value(node.right)
         if isinstance(p, float) and p.is_integer():
             p = int(p)
-        return lambda var, m, is_complex: _power(left(var, m, is_complex), p, m, is_complex)
-    right, op = _compile(node.right), _OPERATORS[node.op]
-    return lambda var, m, is_complex: op(left(var, m, is_complex), right(var, m, is_complex))
+        if p == 0:
+            # the only node that drops its operand, so the only one that must
+            # test it: an overflow there would vanish for numbers alone
+            guard("_any({} * 0 + {} * 0 + {} * 0 != 0)", "zeroth power of a non-finite base", *a)
+            return "1.0", "0.0", "0.0"
+        if p == 1:
+            return a
+        if isinstance(p, int):
+            if p < 0:
+                guard("_any({v} == 0)", "zero base with negative exponent", v=a[0])
+            # p >= 2 keeps v**(p-2) finite at v == 0
+            names = dict(p=constant(p), q=constant(p - 1), r=constant(p - 2))
+            return chain(assign("{v} ** {p}", v=a[0], **names)[0], _POWERS[int], a, **names)
+        guard(_POSITIVE, "negative or zero base with non-integer exponent", v=a[0])
+        names = dict(p=constant(p), q=constant(p - 1))
+        return chain(assign("m.exp({p} * m.log({v}))", v=a[0], **names)[0], _POWERS[float],
+                     a, **names)
+
+    parts = emit(root)
+    body = "".join(f"    {line}\n" for line in lines)
+    source = f"def kernel(x, m, is_complex):\n{body}    return {', '.join(parts)}\n"
+    # the kernel's own globals: its constants, the guard's helper and error
+    namespace = {f"k{i}": c for i, c in enumerate(constants)}
+    namespace.update(_any=_any, DomainError=DomainError)
+    exec(compile(source, "<kernel>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def _evaluate(expr: Expression, at, m, is_complex: bool) -> Jet2:
     """The one domain rule: a failed guard, an error of the library, or a
     non-finite value, d1 or d2 at any point is a DomainError."""
     try:
-        jet = expr.compiled(Jet2.variable(at), m, is_complex)
-        finite = _finite(jet)
+        value, d1, d2 = expr.compiled(at, m, is_complex)
+        # x * 0 is 0 for a finite x, and nan (numpy: an error) for inf or nan
+        infinite = value * 0 + d1 * 0 + d2 * 0 != 0
     except (ValueError, ArithmeticError) as exc:
         raise DomainError(f"{expr.source}: {exc}") from exc
-    if not finite:
+    if np.any(infinite) if m is np else infinite:
         raise DomainError(f"{expr.source} is not finite at some point")
-    return jet
+    return Jet2(value, d1, d2)
 
 
 def eval_jet2(expr: Expression, at: Scalar) -> Jet2:

@@ -4,8 +4,8 @@ Every run, affine, explicit, along a path or of the Riccati equation, is
 stepped by one Dormand-Prince 5(4) loop, :func:`_run`. It gives the nodes of
 scipy's ``RK45`` bit for bit without scipy's solver objects: the same
 tableau, initial step, step-size controller and interpolant of the step that
-leaves. The sums over stages and the dot product under the error norm stay
-the numpy calls scipy makes, because Python's sequential sums round
+leaves. The sums over stages and the dot products under the error norm stay
+the numpy routines scipy calls, because Python's sequential sums round
 differently; everything elementwise on a real state runs in Python floats.
 The loop steps each chart in its own numbers: complex on the complex chart,
 where it measures a component's error by its modulus.
@@ -163,30 +163,31 @@ def _stop_margin(spec: GeometrySpec, pair, start, cap: float | None):
     solution vanishes, and the Theta pair is ill-conditioned on the way there.
     A number ``cap`` gives the absolute term cap - max|y| (affine runs pass
     inf). With no cap, the term is the onset of escape of an explicit state
-    y = (v, v'), 10 (1 + |v| + sqrt|h|) - |v'|; it reads h right after
-    ``den_at`` has evaluated it at the same t, from the memo of
-    :func:`eval_jet2`. A signed den turns negative where the run crosses the
-    singular set (|den| could dip and come back). The complex sets have real
-    codimension two, so complex charts take |v| and |den| instead. den comes
-    first in each min: it is NaN wherever v or h is, and min keeps a NaN that
-    comes first.
+    y = (v, v'), 10 (1 + |v| + sqrt|h|) - |v'|, with the h that den is
+    computed from: one evaluation of h per node. A signed den turns negative
+    where the run crosses the singular set (|den| could dip and come back).
+    The complex sets have real codimension two, so complex charts take |v|
+    and |den| instead. den comes first in each min: it is NaN wherever v or h
+    is, and min keeps a NaN that comes first.
     """
+    sign, h = spec.facts.sign, spec.h
     t0, v0 = pair(*start)
     if isinstance(v0, complex):
-        def inside(t, v):
-            return min(abs(den_at(spec, t, v)), abs(v))
+        def inside(den, v):
+            return min(abs(den), abs(v))
     else:
         side = np.sign(den_at(spec, t0, v0)) or 1.0
 
-        def inside(t, v):
-            return min(side * den_at(spec, t, v), v)
+        def inside(den, v):
+            return min(side * den, v)
 
     def margin(p, y):
         t, v = pair(p, y)
-        m = inside(t, v) - BOUNDARY_GUARD
+        ht = eval_jet2(h, t).value
+        m = inside(add_signed(ht, -sign, v * v), v) - BOUNDARY_GUARD  # den as den_at has it
         if cap is not None:
             return min(m, cap - max(abs(c) for c in y))
-        return min(m, 10 * (1 + abs(v) + abs(eval_jet2(spec.h, t).value) ** 0.5) - abs(y[1]))
+        return min(m, 10 * (1 + abs(v) + abs(ht) ** 0.5) - abs(y[1]))
     return margin
 
 
@@ -224,7 +225,12 @@ SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
 
 
 def _rms(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x)) / x.size ** 0.5
+    """np.linalg.norm(x) / sqrt(n) of a vector by the reduction that norm
+    makes: sqrt(x.dot(x)), over the real and the imaginary part of a complex x."""
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im)) / x.size ** 0.5
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def _initial_step(rhs, t0: float, y0: np.ndarray, f0: np.ndarray, t_bound: float,
@@ -257,14 +263,17 @@ def _run(rhs, span, y0, margin, tol: float, max_step: float):
     atol = tol/100, bit for bit, without its ``OdeSolver`` wrappers: the
     tableau (read from ``RK45``), the initial-step rule, the step-size
     controller and the interpolant of the step that leaves. Every reduction is
-    the numpy call scipy makes on the same stage array K: the five stage
-    sums, the B and E sums and the dot product under the RMS error norm.
-    numpy's sums round differently from sequential Python sums, so these
-    calls stay. Everything elementwise on a real state runs in Python floats,
-    which round as float64 does: a real state is a list, and ``rhs(t, y)``
-    takes and returns a list. A complex state stays a numpy array, with
-    numpy's complex arithmetic, which Python's complex numbers do not
-    reproduce.
+    the numpy routine scipy calls on the same stage array K: the five stage
+    sums and the B and E sums (called as ``KT.dot(a)``, the C routine of
+    ``np.dot`` without its dispatch) and the dot products under the RMS
+    error norm, :func:`_rms`, which are those ``np.linalg.norm`` reduces
+    with: x.dot(x) for a real vector, re.dot(re) + im.dot(im) for a complex
+    one. numpy's sums round differently from sequential Python sums and from
+    a sum of moduli, so these calls stay. Everything elementwise on a real
+    state runs in Python floats, which round as float64 does: a real state is
+    a list, and ``rhs(t, y)`` takes and returns a list. A complex state stays
+    a numpy array, with numpy's complex arithmetic, which Python's complex
+    numbers do not reproduce.
 
     A NaN margin stops the run too; a start whose margin is not positive
     raises StartOnSingularSetError. Returns the nodes, the states (one row per
@@ -287,25 +296,17 @@ def _run(rhs, span, y0, margin, tol: float, max_step: float):
     stages = [(s, K[:s].T, RK45.A[s, :s], c) for s, c in enumerate(RK45.C.tolist()[1:], 1)]
     KB, KE, B, E = K[:-1].T, K.T, RK45.B, RK45.E
     exponent = -1 / (RK45.error_estimator_order + 1)
-    root_n = len(y) ** 0.5
 
     if complex_state:
-        def advance(y, d, h):
-            return y + d * h
-
         def error_norm_of(h, y, y_new):
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            return _rms(np.dot(KE, E) * h / scale)
+            return _rms(KE.dot(E) * h / scale)
     else:
-        def advance(y, d, h):
-            return [a + b * h for a, b in zip(y, d.tolist())]
-
         def error_norm_of(h, y, y_new):
-            # np.linalg.norm of a real vector is sqrt(x.dot(x)). Where a state
-            # is NaN the error is too, so max's NaN rule differs to no effect.
-            x = np.array([e * h / (atol + max(abs(a), abs(b)) * rtol)
-                          for e, a, b in zip(np.dot(KE, E).tolist(), y, y_new)])
-            return math.sqrt(x.dot(x)) / root_n
+            # where a state is NaN the error is too, so max's NaN rule differs
+            # to no effect
+            return _rms(np.array([e * h / (atol + max(abs(a), abs(b)) * rtol)
+                                  for e, a, b in zip(KE.dot(E).tolist(), y, y_new)]))
 
     K[0] = rhs(t, y)
     h_abs = _initial_step(rhs, t, np.asarray(y), K[0].copy(), t_bound, max_step, rtol, atol)
@@ -325,9 +326,14 @@ def _run(rhs, span, y0, margin, tol: float, max_step: float):
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            for s, KT, a, c in stages:
-                K[s] = rhs(t + c * h, advance(y, np.dot(KT, a), h))
-            y_new = advance(y, np.dot(KB, B), h)
+            if complex_state:
+                for s, KT, a, c in stages:
+                    K[s] = rhs(t + c * h, y + KT.dot(a) * h)
+                y_new = y + KB.dot(B) * h
+            else:
+                for s, KT, a, c in stages:
+                    K[s] = rhs(t + c * h, [u + d * h for u, d in zip(y, KT.dot(a).tolist())])
+                y_new = [u + d * h for u, d in zip(y, KB.dot(B).tolist())]
             K[-1] = rhs(t + h, y_new)
             attempts += 1
             error_norm = error_norm_of(h, y, y_new)
@@ -631,7 +637,11 @@ def integrate_explicit(spec: GeometrySpec, x0, value0, slope0, support=None,
     computes :func:`explicit_second` over them, which gives the same bits as
     numpy's float64 scalars at a lower cost. A complex run keeps numpy's
     complex128 numbers: Python's complex multiply and divide round
-    differently from numpy's.
+    differently from numpy's. Its right-hand side reads h at a polyline's
+    own point (a numpy complex scalar) and calls the explicit equation
+    directly, not through :meth:`ComplexPath.point` and
+    :func:`explicit_second`; the values are the same. The stop margin takes
+    den and the escape term from one evaluation of h per node.
 
     A run that leaves the stop margin ends on its last node inside, with
     DOMAIN_BOUNDARY. The margin holds it off v = 0 and the singular set, and
@@ -675,7 +685,10 @@ def integrate_explicit(spec: GeometrySpec, x0, value0, slope0, support=None,
 
 def _integrate_explicit_path(spec, value0, slope0, path, tol, cap, max_step):
     state = np.array([value0, slope0], dtype=complex)
-    margin = _stop_margin(spec, lambda s, y: (path.point(s), y[0]), (0.0, state), cap)
+    sign, h = spec.facts.sign, spec.h
+    # a polyline's own point is a complex number for one parameter already
+    point = path._point if isinstance(path._point(0.0), complex) else path.point
+    margin = _stop_margin(spec, lambda s, y: (point(s), y[0]), (0.0, state), cap)
     pieces_v, pieces_w = [], []
     hit_boundary = False
     stats = SolverStats(0, 0)
@@ -684,7 +697,8 @@ def _integrate_explicit_path(spec, value0, slope0, path, tol, cap, max_step):
 
         def rhs(s, y):
             X, W = y
-            return [W * vel, explicit_second(spec, path.point(s), X, W) * vel]
+            hj = eval_jet2(h, point(s))
+            return [W * vel, _explicit_rhs(sign, hj.value, hj.d1, X, W) * vel]
 
         step = max_step if max_step is not None else (s_hi - s_lo) / 32.0
         ss, ys, exit_step, run_stats = _run(rhs, (s_lo, s_hi), state, margin, tol, step)

@@ -95,15 +95,12 @@ class _TrackedSqrt:
     From the principal root at the base node outward both ways, each node
     takes the root +-p_i nearer its neighbour's. Whether it keeps the
     neighbour's sign depends only on |p_i - p_j| against |p_i + p_j|, so the
-    signs are a cumulative product, computed in array operations. ``flagged``
-    lists the nodes where the two nearly tie or the root grazes zero: the
-    forward ones in increasing order, then the backward ones outward.
+    signs are a cumulative product, computed in array operations.
     """
 
     def __init__(self, ts: np.ndarray, radicands: np.ndarray, base_index: int):
         self.ts = ts
         p = np.sqrt(np.asarray(radicands, dtype=complex))
-        scale = float(np.max(np.abs(p))) or 1.0
         # step k joins nodes k and k+1: the distances to +p_j and to -p_j
         keep, switch = _modulus(p[1:] - p[:-1]), _modulus(p[1:] + p[:-1])
         up = np.arange(base_index + 1, len(p))  # node i reached by step i - 1
@@ -112,13 +109,6 @@ class _TrackedSqrt:
         for nodes, steps in ((up, up - 1), (down, down)):
             signs[nodes] = _continued_signs(keep[steps], switch[steps])
         self.values = np.where(signs > 0, p, -p)
-        # the radicand hit (or grazed) zero; continuation goes on, but the
-        # node is flagged since the pair derivative degenerates there
-        nodes, steps = np.concatenate([up, down]), np.concatenate([up - 1, down])
-        size = _modulus(p[nodes])
-        flags = ((np.abs(keep[steps] - switch[steps]) < 0.1 * np.maximum(size, 1e-300))
-                 | (size < 1e-4 * scale))
-        self.flagged: list[float] = ts[nodes[flags]].tolist()
 
     def __call__(self, t, radicand):
         """The root of ``radicand`` nearest the tracked root at the node at or after ``t``."""
@@ -135,7 +125,6 @@ class ThetaPair:
     spec: GeometrySpec
     geodesic: ExplicitGeodesic
     coincident: bool
-    flagged_params: list[float]
     _sqrt: _TrackedSqrt = field(repr=False, default=None)
 
     @property
@@ -235,7 +224,7 @@ def theta_from_geodesic(spec: GeometrySpec, g: ExplicitGeodesic) -> ThetaPair:
     coincident = bool(np.max(np.abs(rads)) < DEGENERACY_TOL)
     base_index = int(np.argmin(np.abs(grid - g.base_param)))
     tracked = _TrackedSqrt(grid, rads, base_index)
-    return ThetaPair(spec, g, coincident, tracked.flagged, tracked)
+    return ThetaPair(spec, g, coincident, tracked)
 
 
 # --- solution bases -------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Parser and order-2 jet evaluation."""
 
 import cmath
+import contextlib
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from geodesy.errors import (
     ParseError,
     UnknownIdentifierError,
 )
-from geodesy.expr import Binary, Call, Literal, Unary, Variable, eval_jet2, parse
+from geodesy.expr import Binary, Call, Constant, Literal, Unary, Variable, eval_jet2, parse
 
 
 def test_grammar_smoke_power_plus_one():
@@ -356,3 +358,166 @@ def test_memo_never_stores_a_raise_and_arrays_bypass_it():
     with pytest.raises(DomainError):
         eval_jet2(e, np.array([2.0, -1.0]))
     assert eval_jet2(e, 2.0) is good
+
+
+# --- the generated kernel against a tree walk over Jet2 ------------------------
+
+#: (f', f'') of each function by the chain rule over Jet2, stated independently
+#: of the kernel's source templates
+_REFERENCE_DERIVATIVES = {
+    "exp": lambda m, v, f0: (f0, f0),
+    "log": lambda m, v, f0: (1.0 / v, -1.0 / (v * v)),
+    "sin": lambda m, v, f0: (m.cos(v), -f0),
+    "cos": lambda m, v, f0: (-m.sin(v), -f0),
+    "sinh": lambda m, v, f0: (m.cosh(v), f0),
+    "cosh": lambda m, v, f0: (m.sinh(v), f0),
+    "sqrt": lambda m, v, f0: (0.5 / f0, -0.25 / (f0 * v)),
+}
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _chain(f0, f1, f2, g):
+    return expr.Jet2(f0, f1 * g.d1, f2 * g.d1 * g.d1 + f1 * g.d2)
+
+
+def _not_finite(jet):
+    return expr._any(jet.value * 0 + jet.d1 * 0 + jet.d2 * 0 != 0)
+
+
+def _nonpositive(v, is_complex):
+    return expr._any(v == 0) or (not is_complex and expr._any(v < 0))
+
+
+def _walk(node, x, m, is_complex):
+    """``node``'s jet at x, one node at a time over Jet2's arithmetic."""
+    if isinstance(node, Variable):
+        return expr.Jet2(x, 1.0, 0.0)
+    if isinstance(node, Literal):
+        return expr.Jet2.constant(node.value)
+    if isinstance(node, Constant):
+        return expr.Jet2.constant(1j if node.name == "i" else expr.CONSTANTS[node.name])
+    if isinstance(node, Unary):
+        return -_walk(node.operand, x, m, is_complex)
+    if isinstance(node, Call):
+        g = _walk(node.arg, x, m, is_complex)
+        if node.func in ("log", "sqrt") and _nonpositive(g.value, is_complex):
+            raise DomainError(f"{node.func} at a zero or negative point")
+        f0 = getattr(m, node.func)(g.value)
+        return _chain(f0, *_REFERENCE_DERIVATIVES[node.func](m, g.value, f0), g)
+    a = _walk(node.left, x, m, is_complex)
+    if node.op != "^":
+        return _OPERATORS[node.op](a, _walk(node.right, x, m, is_complex))
+    p, v = expr._literal_value(node.right), a.value
+    if isinstance(p, float) and p.is_integer():
+        p = int(p)
+    if not isinstance(p, int):
+        if _nonpositive(v, is_complex):
+            raise DomainError("negative or zero base with non-integer exponent")
+        f0 = m.exp(p * m.log(v))
+        return _chain(f0, p * f0 / v, p * (p - 1) * f0 / (v * v), a)
+    if p == 0:
+        if _not_finite(a):
+            raise DomainError("zeroth power of a non-finite base")
+        return expr.Jet2.constant(1.0)
+    if p == 1:
+        return a
+    if p < 0 and expr._any(v == 0):
+        raise DomainError("zero base with negative exponent")
+    return _chain(v ** p, p * v ** (p - 1), p * (p - 1) * v ** (p - 2), a)
+
+
+def _reference(e, at):
+    """eval_jet2's dispatch and domain rule around the tree walk."""
+    m, is_complex = math, False
+    if isinstance(at, np.ndarray):
+        m, is_complex = np, e.mode == "complex" or np.iscomplexobj(at)
+        at = at.astype(complex if is_complex else float)
+    elif e.mode == "complex" or isinstance(at, complex):
+        m, is_complex, at = cmath, True, complex(at)
+    # numpy raises where math and cmath do; an underflow to 0 is no error there
+    with np.errstate(all="raise", under="ignore") if m is np else contextlib.nullcontext():
+        try:
+            jet = _walk(e.root, at, m, is_complex)
+            bad = _not_finite(jet)
+        except (ValueError, ArithmeticError) as exc:
+            raise DomainError(f"{e.source}: {exc}") from exc
+    if bad:
+        raise DomainError(f"{e.source} is not finite at some point")
+    if m is np:
+        return expr.Jet2(*(part if np.shape(part) == at.shape else np.full(at.shape, part)
+                           for part in (jet.value, jet.d1, jet.d2)))
+    return jet
+
+
+def _outcome(evaluate, e, at):
+    """The parts' exact text (an array's dtype, shape and bytes), or the
+    exception's type and message."""
+    try:
+        jet = evaluate(e, at)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc), str(exc)
+    return tuple((p.dtype.str, p.shape, p.tobytes()) if isinstance(p, np.ndarray) else repr(p)
+                 for p in (jet.value, jet.d1, jet.d2))
+
+
+_EDGES = [0.0, -0.0, 1.0, -1.0, 2.0, 1e300, -1e300, 1e-300, 710.0, 1e-8]
+_REALS = st.one_of(st.floats(-5.0, 5.0), st.sampled_from(_EDGES))
+_COMPLEXES = st.builds(complex, _REALS, _REALS)
+_HUGE_LEAVES = st.sampled_from([Literal(1e300), Literal(1e-300), Literal(math.inf)])
+
+
+def _oracle_trees(variable, *constants):
+    """The trees of ``_trees`` with the variable as every other leaf, with
+    huge and infinite literals and with constants."""
+    var = st.just(Variable(variable))
+    return _trees(st.one_of(var, _literals, var, _HUGE_LEAVES,
+                            *(st.just(Constant(c)) for c in ("pi", *constants))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(st.just("real"), _oracle_trees("x")),
+                 st.tuples(st.just("complex"), _oracle_trees("z", "i"))),
+       st.one_of(_REALS, _COMPLEXES, st.lists(_REALS, min_size=1, max_size=4).map(np.array),
+                 st.lists(_COMPLEXES, min_size=1, max_size=4).map(np.array)))
+def test_the_kernel_equals_a_tree_walk_over_jet_arithmetic_bit_for_bit(mode_tree, at):
+    """Value, d1 and d2 of eval_jet2 (their repr, or an array's bytes), or
+    the type and message of what it raises, equal a node-by-node walk over
+    Jet2's arithmetic, at real and complex points and arrays, signed zeros,
+    huge and out-of-domain points included, and again from the memo."""
+    mode, tree = mode_tree
+    e = expr.Expression(tree, mode, expr._render(tree, 0))
+    want = _outcome(_reference, e, at)
+    assert _outcome(eval_jet2, e, at) == want
+    assert _outcome(eval_jet2, e, at) == want
+
+
+_ORACLE_SOURCES = [
+    ("x/(x+1)", "real"), ("(x^2+1)/(x-0.5)", "real"), ("sin(x)/x", "real"),
+    ("x^2.5", "real"), ("(x+3)^-1.5", "real"), ("sqrt(x)*log(x)", "real"),
+    ("exp(x)^3-x^-2", "real"), ("cosh(x)/sinh(x)", "real"), ("cos(x)*x^0", "real"),
+    ("(1/x)^0", "real"), ("-x^3/7", "real"), ("2*x-3*x^2", "real"), ("exp(exp(x))", "real"),
+    ("log(x^4^4)", "real"), ("x^400", "real"), ("1e999*x", "real"), ("pi*e/x", "real"),
+    ("(x-1)^2^2", "real"), ("sin(x)^2+cos(x)^2", "real"), ("sqrt(1/x-x)", "real"),
+    ("z^2+1", "complex"), ("exp(z)/z", "complex"), ("i*z^3-z", "complex"),
+    ("sqrt(z)*log(z)", "complex"), ("z^-2+sin(z)", "complex"), ("cosh(z)^0.5", "complex"),
+    ("(z+i)^2.5", "complex"), ("1/(z-i)", "complex"), ("log(z)^0", "complex"),
+]
+_ORACLE_REALS = [-3.7, -1.0, -0.5, -0.0, 0.0, 1e-300, 1e-8, 0.3, 0.5, 1.0, 1.7, 2.0, 3.3,
+                 700.0, 710.0, 1e300, -1e300, math.inf, math.nan]
+_ORACLE_POINTS = [*_ORACLE_REALS, 3,
+                  *(complex(a, b) for a in (-2.0, -0.0, 0.0, 0.4, 1.5)
+                    for b in (-1.0, -0.0, 0.0, 1e-300, 0.7)),
+                  np.array(_ORACLE_REALS), np.array([-3.7, 0.3, 0.5, 1.7, 2.0, 3.3]),
+                  np.array([0.3 + 0.7j, -2.0 - 1.0j, 1.5 + 0j, -0.5 - 0j])]
+
+
+@pytest.mark.parametrize("source, mode", _ORACLE_SOURCES)
+def test_the_kernel_equals_the_tree_walk_on_a_fixed_battery(source, mode):
+    """The same oracle on every operation at fixed points: signed zeros, a
+    subnormal-sized one, huge, inf and NaN points, an int, the branch cut of
+    log and sqrt, and arrays with and without bad entries."""
+    e = parse(source, mode)
+    for at in _ORACLE_POINTS:
+        want = _outcome(_reference, e, at)
+        assert _outcome(eval_jet2, e, at) == want, at
+        assert _outcome(eval_jet2, e, at) == want, at

@@ -218,6 +218,35 @@ def test_runs_that_do_not_escape_keep_their_nodes_bit_for_bit(case):
         assert np.array_equal(getattr(default, state)(nodes), getattr(uncapped, state)(nodes))
 
 
+def test_a_path_run_equals_runs_of_explicit_second_at_the_path_points():
+    """Along a polyline the run reads h at the polyline's own point and calls
+    the explicit equation directly, and its margin evaluates h once per node:
+    its nodes and states are those of runs of ``explicit_second`` at
+    ``path.point(s)`` under a margin built on ``ComplexPath.point``, segment
+    by segment, bit for bit. The escape term ends the second segment."""
+    spec = make_spec("complex", "z^2+1")
+    path = ComplexPath.polyline([0, 2, 2 + 2j])
+    g = integrate_explicit(spec, 0, 1j, 0.5, path=path)
+    assert g.termination is Termination.DOMAIN_BOUNDARY
+    state = np.array([1j, 0.5])
+    margin = gd._stop_margin(spec, lambda s, y: (path.point(s), y[0]), (0.0, state), None)
+    nodes, states = [], []
+    for lo, hi in path.segments():
+        vel = path.velocity(0.5 * (lo + hi))
+        ts, ys, exit_step, _ = gd._run(
+            lambda s, y: [y[1] * vel, gd.explicit_second(spec, path.point(s), *y) * vel],
+            (lo, hi), state, margin, 1e-10, (hi - lo) / 32)
+        nodes.append(ts)
+        states.append(ys[0])
+        state = ys[:, -1]
+        if exit_step is not None:
+            break
+    assert len(nodes) == 2
+    # a piece's end is the next piece's start
+    assert np.array_equal(g.nodes, np.concatenate([nodes[0][:-1], nodes[1]]))
+    assert np.array_equal(g.value(nodes[1]), states[1])
+
+
 def test_explicit_residual_is_small_on_geodesics(airy_geodesic):
     spec, g = airy_geodesic
     lo, hi = g.support
@@ -530,6 +559,71 @@ def test_runs_equal_scipy_event_runs_without_their_event_sample(case):
         theta = rc.integrate_riccati(parse("4"), 0.0, 0.0, (0.0, 0.8))
         assert np.array_equal(theta.nodes, ts)
         assert np.array_equal(theta.value(ts), ys[0])
+
+
+def _random_vectors(rng, count):
+    """Real and complex vectors of 1 to 6 entries over 20 decades, with signed
+    zeros mixed in."""
+    for _ in range(count):
+        n = int(rng.integers(1, 7))
+        parts = rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-10, 10, (2, n))
+        parts[rng.random((2, n)) < 0.1] *= 0.0
+        yield parts[0]
+        yield parts[0] + 1j * parts[1]
+
+
+def test_the_error_norm_is_scipys_rms_norm_bit_for_bit(monkeypatch):
+    """``_rms``, the norm of the initial-step rule and of every step's error,
+    equals the RMS norm RK45 takes (np.linalg.norm(x) / sqrt(n)) bit for bit:
+    on random real and complex vectors, and on each error vector of a real
+    and a complex-path run. A sequential sum of squares, or a complex norm
+    summed from moduli, rounds differently from the dot products numpy
+    reduces with, and moves a step now and then."""
+    from scipy.integrate._ivp.common import norm
+    rng = np.random.default_rng(5)
+    vectors = list(_random_vectors(rng, 20000))
+    seen = []
+    rms = gd._rms
+
+    def recording(x):
+        seen.append(x.copy())
+        return rms(x)
+
+    monkeypatch.setattr(gd, "_rms", recording)
+    integrate_explicit(make_spec("hyperbolic", "sin(x)+3"), 0.0, 1.2, 0.3, support=(-1, 1))
+    integrate_explicit(make_spec("complex", "z^2+1"), 0, 1.5 + 0.5j, 0.2,
+                       path=ComplexPath.polyline([0, 1, 1 + 1j]))
+    assert sum(np.iscomplexobj(x) for x in seen) > 50 and sum(np.isrealobj(x) for x in seen) > 50
+    for x in vectors + seen:
+        assert rms(x) == norm(x), x
+
+
+def test_the_initial_step_equals_scipys_rule():
+    """``_initial_step`` equals scipy's ``select_initial_step`` for an error
+    estimator of order 4, exactly, on random real and complex states, spans in
+    both directions, step bounds and tolerances, with zero states and right-hand
+    sides among them (both rule branches)."""
+    from scipy.integrate._ivp.common import select_initial_step
+    rng = np.random.default_rng(17)
+    for k in range(600):
+        n = int(rng.integers(1, 5))
+        A = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3) * (k % 7 != 0)
+
+        def rhs(t, y, A=A, forced=k % 5 != 0):
+            return A @ np.asarray(y) + np.sin(t) * forced
+
+        y0 = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 4) * (k % 11 != 0)
+        if k % 2:
+            y0 = y0 + 1j * rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 4)
+        t0 = float(rng.uniform(-10, 10))
+        t_bound = t0 + float(rng.choice([-1, 1]) * 10.0 ** rng.uniform(-6, 2))
+        max_step = np.inf if k % 3 == 0 else float(10.0 ** rng.uniform(-4, 1))
+        tol = float(10.0 ** rng.uniform(-13, -3))
+        rtol, atol = max(tol, 100 * np.finfo(float).eps), tol * 1e-2
+        f0 = np.asarray(rhs(t0, y0))
+        direction = 1.0 if t_bound > t0 else -1.0
+        want = select_initial_step(rhs, t0, y0, t_bound, max_step, f0, direction, 4, rtol, atol)
+        assert gd._initial_step(rhs, t0, y0, f0, t_bound, max_step, rtol, atol) == want, k
 
 
 def _band_start(run):

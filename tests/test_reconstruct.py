@@ -193,7 +193,7 @@ def test_inversion_wrong_sign_product_rejected():
         def _theta(self, t):
             return 1.0, 0.0, 2.0, 0.0  # (top, top', bot, bot')
 
-    bad = _BadPair(spec, g, False, [], None)
+    bad = _BadPair(spec, g, False, None)
     with pytest.raises(NegativeRadicandError):
         rc.invert_to_geodesic(bad)
 
@@ -378,11 +378,11 @@ def test_branch_tracking_through_complex_winding():
     assert np.max(np.abs(_riccati_residuals(pair, ts)[0])) < 1e-6
 
 
-def test_radicand_grazing_zero_is_flagged():
+def test_radicand_grazing_zero_keeps_the_pair_accurate_away_from_the_graze():
     """An ads geodesic flattening into the singular set: the radicand decays
     to ~0 (it cannot cross transversally: the curve would coincide with the
-    induced Riccati curve by uniqueness), the nodes there are flagged, and
-    the pair stays accurate away from the graze."""
+    induced Riccati curve by uniqueness), and the pair stays accurate away
+    from the graze."""
     spec = make_spec("ads+", "x")
     g = integrate_explicit(spec, 0.5, 1.0, 0.5, support=(-0.8, 0.5), tol=1e-12)
     from geodesy.geodesics import Termination
@@ -392,7 +392,6 @@ def test_radicand_grazing_zero_is_flagged():
     ts = np.linspace(lo, hi, 400)
     rads, _ = _radicand_and_root(pair, ts)
     assert rads.min() < 1e-10, "case selection: radicand must graze zero"
-    assert pair.flagged_params, "graze must be flagged"
     away = np.abs(rads) > 0.05
     rr = np.abs(_riccati_residuals(pair, ts[away])[0])
     assert rr.max() < 1e-6
@@ -643,28 +642,21 @@ def test_a_basis_and_its_solutions_are_freed_without_the_cycle_collector(harmoni
         gc.enable()
 
 
-def _tracked_sqrt_by_loop(ts, radicands, base_index):
+def _tracked_sqrt_by_loop(radicands, base_index):
     """Reference continuation, one node at a time: each node takes the root
-    nearer its neighbour's toward the base (+p on a tie) and is flagged where
-    the two distances nearly tie or the root grazes zero."""
+    nearer its neighbour's toward the base (+p on a tie)."""
     p = np.sqrt(np.asarray(radicands, dtype=complex))
-    w = np.empty(len(ts), dtype=complex)
+    w = np.empty(len(p), dtype=complex)
     w[base_index] = p[base_index]
-    flagged = []
-    scale = float(np.max(np.abs(p))) or 1.0
 
-    def step(prev, cand, t):
-        d_plus, d_minus = abs(cand - prev), abs(-cand - prev)
-        if (abs(d_plus - d_minus) < 0.1 * max(abs(cand), 1e-300)
-                or abs(cand) < 1e-4 * scale):
-            flagged.append(float(t))
-        return cand if d_plus <= d_minus else -cand
+    def step(prev, cand):
+        return cand if abs(cand - prev) <= abs(-cand - prev) else -cand
 
-    for i in range(base_index + 1, len(ts)):
-        w[i] = step(w[i - 1], p[i], ts[i])
+    for i in range(base_index + 1, len(p)):
+        w[i] = step(w[i - 1], p[i])
     for i in range(base_index - 1, -1, -1):
-        w[i] = step(w[i + 1], p[i], ts[i])
-    return w, flagged
+        w[i] = step(w[i + 1], p[i])
+    return w
 
 
 _PARTS = st.one_of(st.floats(-4.0, 4.0), st.floats(-1e-6, 1e-6),
@@ -677,12 +669,10 @@ _RADICAND = st.builds(complex, _PARTS, _PARTS)
                 max_size=30),
        st.data())
 def test_tracked_sqrt_equals_the_node_by_node_loop(runs, data):
-    """Values bit for bit and flags in the loop's order, over radicands with
-    exact zeros, repeated values (runs) and sign flips, from any base node."""
+    """Values bit for bit over radicands with exact zeros, repeated values
+    (runs) and sign flips, from any base node."""
     radicands = np.array([-r if flip else r for r, flip, count in runs for _ in range(count)])
     ts = np.cumsum(np.full(len(radicands), 0.25)) - 1.0
     base_index = data.draw(st.integers(0, len(radicands) - 1))
     tracked = rc._TrackedSqrt(ts, radicands, base_index)
-    values, flagged = _tracked_sqrt_by_loop(ts, radicands, base_index)
-    assert tracked.values.tobytes() == values.tobytes()
-    assert tracked.flagged == flagged
+    assert tracked.values.tobytes() == _tracked_sqrt_by_loop(radicands, base_index).tobytes()
